@@ -15,7 +15,8 @@ seq = rows[0][5]
 print()
 for strategy, t, dp, w, chunk, ms in rows[1:]:
     print(f"chunk {chunk:>4}: {ms:7.2f} ms  ({ms / seq:.2f}x the sequential loop)")
-print("\nthe chunked kernel advances blocks concurrently and stitches the")
-print("carried states with one short sequential pass; on a single core the")
-print("win comes from fusing the per-step arithmetic, on multicore machines")
-print("the blocks genuinely run in parallel.")
+print("\nthe chunked scan advances every block's recurrence together, one")
+print("vectorized numpy step per position, and stitches the carried states")
+print("with one short sequential pass.  It runs on one thread, so any win")
+print("comes from about 2*chunk + T/chunk numpy steps over larger arrays")
+print("replacing T steps over small ones.")

@@ -9,11 +9,8 @@ import os as _os
 
 _threads = _os.environ.get("SIMBA_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMBA_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
-# the default TBB layer warns on older TBB builds; workqueue is always present
-_os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
 
 from .config import PRESETS, TrainConfig  # noqa: E402
 from .data import (  # noqa: E402

@@ -37,7 +37,7 @@ class TrainConfig:
     temporal_shift_radius: int = 1
     conv_kernel: int = 4
     norm_placement: str = "post"
-    scan_chunk: int = 16  # 0 or 1 falls back to the sequential scan
+    scan_chunk: int = 16  # 0 or 1 runs the sequential scan; must be >= 0
     # run
     seed: int = 1
     precision: str = "float32"
@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
         if self.repeat_augmentation < 1:
             raise ConfigError("repeat_augmentation must be >= 1")
+        if self.scan_chunk < 0:
+            raise ConfigError(f"scan_chunk must be >= 0, got {self.scan_chunk}")
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(dataclasses.asdict(self), indent=indent, sort_keys=True)

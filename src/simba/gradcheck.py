@@ -134,7 +134,6 @@ def suite_primitives():
     run("sqrt", lambda: _project(T.sqrt(pos), p24), {"pos": pos})
     xk = _leaf(rng, (2, 4), margin=0.1)
     run("relu", lambda: _project(T.relu(xk), p24), {"x": xk})
-    run("sigmoid", lambda: _project(T.sigmoid(x24), p24), {"x": x24})
     run("silu", lambda: _project(T.silu(x24), p24), {"x": x24})
     xs = Tensor(np.concatenate([rng.normal(size=6), [19.0, 21.0]]), requires_grad=True)
     ps = _projection(rng, (8,))
@@ -145,18 +144,11 @@ def suite_primitives():
     run("permute", lambda: _project(T.permute(x4, (0, 3, 1, 2)) * 1.5, pperm), {"x": x4})
     prs = _projection(rng, (2, 12))
     run("reshape", lambda: _project(T.reshape(x4, (2, 12)) * 1.5, prs), {"x": x4})
-    pb = _projection(rng, (4, 2, 3))
-    xb = _leaf(rng, (1, 2, 3))
-    run("broadcast_to", lambda: _project(T.broadcast_to(xb, (4, 2, 3)), pb), {"x": xb})
 
     xg = _leaf(rng, (2, 3, 2, 4))
     pg = _projection(rng, (2, 3, 2, 4))
     run("gather_spatial_shift", lambda: _project(spatial_shift(xg), pg), {"x": xg})
     run("gather_temporal_shift", lambda: _project(temporal_shift(xg, 1), pg), {"x": xg})
-    ppad = _projection(rng, (2, 3, 5, 4))
-    run("pad_axis", lambda: _project(T.pad_axis(xg, 2, 2, 1), ppad), {"x": xg})
-    psl = _projection(rng, (2, 1, 2, 4))
-    run("slice_axis", lambda: _project(T.slice_axis(xg, 1, 1, 2), psl), {"x": xg})
 
     psum = _projection(rng, (2, 2))
     run("reduce_sum", lambda: _project(xg.sum(axis=(1, 3)), psum), {"x": xg})

@@ -12,15 +12,15 @@ the input, so the recurrence is time-varying.
 
 The scan itself is a single recorded autodiff op with a hand-written
 adjoint: the gradient of a linear recurrence is the same recurrence run
-backwards in time.  Two forward strategies share that adjoint:
+backwards in time.  Forward and adjoint share one strategy, picked by the
+chunk size:
 
 * sequential — one numpy step per timestep (the reference);
-* parallel — the sequence is cut into chunks that advance their local
-  recurrences concurrently (a compiled kernel threaded across chunks,
-  with a plain-numpy fallback), and the carried states are stitched
-  across chunk boundaries with one short sequential pass.  A single chunk
-  covering the whole sequence degenerates to the sequential loop
-  bit-for-bit.
+* chunked — the sequence is cut into chunks whose local recurrences are
+  advanced together as one vectorized numpy step per position, and the
+  carried states are stitched across chunk boundaries with one short
+  sequential pass.  A chunk covering the whole sequence runs the
+  sequential loop, so it matches the reference bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ from . import tensor as T
 from .errors import DomainError, ShapeError
 from .nn import CausalConv1d, Linear, Module, Parameter, RMSNorm, uniform_init
 from .tensor import Tensor
-
-try:
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but degrade cleanly
-    HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +104,7 @@ def _scan_states_sequential(a: np.ndarray, inj: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_states_chunked_numpy(a: np.ndarray, inj: np.ndarray, chunk: int) -> np.ndarray:
+def _scan_states_chunked(a: np.ndarray, inj: np.ndarray, chunk: int) -> np.ndarray:
     """Chunked recurrence vectorized across blocks, in plain numpy.
 
     Pass 1 advances every block's local recurrence together, keeping only
@@ -149,57 +143,9 @@ def _scan_states_chunked_numpy(a: np.ndarray, inj: np.ndarray, chunk: int) -> np
     return states.reshape(n, m * chunk, dp, w)[:, :t]
 
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _chunk_scan_kernel(a2, inj2, chunk, out2):  # pragma: no cover - compiled
-        n, t, dw = a2.shape
-        m = (t + chunk - 1) // chunk
-        h_end = np.zeros((n, m, dw), dtype=a2.dtype)
-        decay = np.ones((n, m, dw), dtype=a2.dtype)
-        for nm in prange(n * m):
-            ni = nm // m
-            j = nm % m
-            stop = min(t, (j + 1) * chunk)
-            for i in range(j * chunk, stop):
-                for k in range(dw):
-                    h_end[ni, j, k] = a2[ni, i, k] * h_end[ni, j, k] + inj2[ni, i, k]
-                    decay[ni, j, k] *= a2[ni, i, k]
-        carry = np.zeros((n, m, dw), dtype=a2.dtype)
-        for ni in range(n):
-            for j in range(1, m):
-                for k in range(dw):
-                    carry[ni, j, k] = h_end[ni, j - 1, k] + decay[ni, j - 1, k] * carry[ni, j - 1, k]
-        for nm in prange(n * m):
-            ni = nm // m
-            j = nm % m
-            stop = min(t, (j + 1) * chunk)
-            for i in range(j * chunk, stop):
-                for k in range(dw):
-                    carry[ni, j, k] = a2[ni, i, k] * carry[ni, j, k] + inj2[ni, i, k]
-                    out2[ni, i, k] = carry[ni, j, k]
-
-
-def _scan_states_chunked(a: np.ndarray, inj: np.ndarray, chunk: int) -> np.ndarray:
-    """Chunked scan: blocks advance concurrently, carries combine sequentially.
-
-    A single block covering the whole sequence degenerates to the
-    sequential loop bit-for-bit.
-    """
-    n, t, dp, w = a.shape
-    if chunk >= t:
-        return _scan_states_sequential(a, inj)
-    if HAVE_NUMBA:
-        a2 = np.ascontiguousarray(a).reshape(n, t, dp * w)
-        inj2 = np.ascontiguousarray(inj).reshape(n, t, dp * w)
-        out2 = np.empty_like(a2)
-        _chunk_scan_kernel(a2, inj2, chunk, out2)
-        return out2.reshape(n, t, dp, w)
-    return _scan_states_chunked_numpy(a, inj, chunk)
-
-
-def _scan_states(a, inj, chunk):
-    if chunk is None:
+def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
+    """Sequential loop when ``chunk`` is None or covers T, chunked scan otherwise."""
+    if chunk is None or chunk >= a.shape[1]:
         return _scan_states_sequential(a, inj)
     return _scan_states_chunked(a, inj, chunk)
 
@@ -244,7 +190,7 @@ def _selective_scan(inputs: ScanInputs, y_in: Tensor, chunk) -> Tensor:
         direct = g[..., None] * c.data[:, :, None, :]
         a_rev = np.flip(a.data, axis=1)
         coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
-        lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), _adjoint_chunk(t)), axis=1)
+        lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
         h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
         if a.requires_grad:
             a._accumulate(lam * h_prev)
@@ -256,10 +202,6 @@ def _selective_scan(inputs: ScanInputs, y_in: Tensor, chunk) -> Tensor:
             c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
 
     return T._make(out, (a, b, c, y), backward)
-
-
-def _adjoint_chunk(t: int) -> int:
-    return max(1, int(np.sqrt(t)))
 
 
 def selective_scan_sequential(inputs: ScanInputs, y_in: Tensor) -> Tensor:
@@ -342,7 +284,7 @@ class IMambaBlock(Module):
         self.scan_chunk = scan_chunk
 
     def _scan(self, inputs: ScanInputs, y: Tensor) -> Tensor:
-        if self.scan_chunk and self.scan_chunk > 1:
+        if self.scan_chunk > 1:
             return selective_scan_parallel(inputs, y, self.scan_chunk)
         return selective_scan_sequential(inputs, y)
 

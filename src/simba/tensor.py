@@ -373,17 +373,6 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    data = _sigmoid_stable(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
-
-
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
     a = _as_tensor(a)
@@ -441,17 +430,6 @@ def permute(a, axes) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-
-    return _make(data, (a,), backward)
-
-
 def gather(a, index: np.ndarray, axis: int) -> Tensor:
     """take_along_axis with a full-shaped integer index; scatter-add backward."""
     a = _as_tensor(a)
@@ -466,39 +444,6 @@ def gather(a, index: np.ndarray, axis: int) -> Tensor:
             loc = list(np.indices(index.shape, sparse=False))
             loc[axis] = index
             np.add.at(ga, tuple(loc), g)
-            a._accumulate(ga)
-
-    return _make(data, (a,), backward)
-
-
-def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
-    """Zero-pad one axis."""
-    a = _as_tensor(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    data = np.pad(a.data, widths)
-    sel = [slice(None)] * a.ndim
-    sel[axis] = slice(before, before + a.shape[axis])
-    sel = tuple(sel)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g[sel])
-
-    return _make(data, (a,), backward)
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    sel = [slice(None)] * a.ndim
-    sel[axis] = slice(start, stop)
-    sel = tuple(sel)
-    data = a.data[sel].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[sel] = g
             a._accumulate(ga)
 
     return _make(data, (a,), backward)

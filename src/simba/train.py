@@ -155,6 +155,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
             losses.append(loss.item() * len(idx))
             hits += int(np.sum(logits.data.argmax(axis=1) == y))
             seen += len(idx)
+            del logits, loss  # free this step's graph before the next forward
         probs, labels = evaluate(model, eval_ds, cfg, modality)
         eval_acc = accuracy(probs, labels)
         record = {

@@ -110,9 +110,22 @@ def test_scan_single_step():
 def test_parallel_matches_sequential(chunk):
     rng = np.random.default_rng(chunk)
     inputs, y = _random_scan_inputs(rng, 2, 64, 3, 4)
-    ref = selective_scan_sequential(inputs, y).data
-    par = selective_scan_parallel(inputs, y, chunk).data
-    assert np.max(np.abs(par - ref)) <= 1e-12
+    leaves = (inputs.a_bar, inputs.b_bar, inputs.c, y)
+    for leaf in leaves:
+        leaf.requires_grad = True
+    proj = Tensor(rng.normal(size=(2, 64, 3)))
+    outs, grads = [], []
+    for scan in (selective_scan_sequential, lambda i, v: selective_scan_parallel(i, v, chunk)):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = scan(inputs, y)
+        (out * proj).sum().backward()
+        outs.append(out.data)
+        grads.append([leaf.grad for leaf in leaves])
+    assert np.max(np.abs(outs[1] - outs[0])) <= 1e-12
+    # the adjoint goes through the same chunked scan as the forward
+    for ref, par in zip(*grads):
+        assert np.max(np.abs(par - ref)) <= 1e-12
 
 
 def test_parallel_chunk_covering_t_is_bit_identical():

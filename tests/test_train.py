@@ -1,4 +1,6 @@
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +43,8 @@ def test_config_validation():
         TrainConfig(milestones=[95], epochs=90)
     with pytest.raises(ConfigError):
         TrainConfig(precision="float16")
+    with pytest.raises(ConfigError):
+        TrainConfig(scan_chunk=-1)
 
 
 def test_config_json_roundtrip():
@@ -231,6 +235,35 @@ def test_training_aborts_on_nan_loss_with_location():
     model.head.w.data[0, 0] = np.nan
     with pytest.raises(TrainingAbort, match=r"epoch 0, batch 0"):
         train(model, ds, ds, cfg, verbose=False)
+
+
+def test_previous_step_graph_is_released_before_next_forward(monkeypatch):
+    # only one step's graph may be alive at a time.  Tensor takes no weak
+    # references, so each step is watched through its logits' data buffer:
+    # the loss keeps the logits alive as its parent, so a dead buffer means
+    # a dead loss and a released graph.
+    train_mod = sys.modules["simba.train"]  # the package re-exports train() under that name
+    cfg, ds, model = _toy_setup(seed=7, epochs=1)
+    cfg.batch_size_train = 2
+    steps, alive_at_forward = [], []
+
+    def recording_loss(logits, y):
+        steps.append(weakref.ref(logits.data))
+        return cross_entropy_logits(logits, y)
+
+    forward = model.forward
+
+    def checking_forward(x):
+        alive_at_forward.append([ref() is not None for ref in steps])
+        return forward(x)
+
+    monkeypatch.setattr(train_mod, "cross_entropy_logits", recording_loss)
+    model.forward = checking_forward
+    train(model, ds, ds, cfg, verbose=False)
+    n_steps = len(ds) // cfg.batch_size_train
+    assert len(steps) == n_steps
+    # train-mode forwards come first; the per-epoch evaluate forward follows
+    assert alive_at_forward[:n_steps] == [[False] * k for k in range(n_steps)]
 
 
 def test_evaluate_returns_valid_distributions():
