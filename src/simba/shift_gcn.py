@@ -4,12 +4,11 @@ Graph convolutions are replaced by index shifts plus pointwise (1x1)
 convolutions: the spatial shift rotates each channel's vertex features by
 the channel index (a pure permutation within every frame), the temporal
 shift slides channel groups along the frame axis with zero fill at the
-boundaries.
+boundaries.  Both shifts are slice copies, one or two per class of
+channels that move alike, so they build no index arrays and cache nothing.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,18 +18,16 @@ from .nn import BatchNorm2d, Module, PointwiseConv2d
 from .tensor import Tensor
 
 
-def _spatial_index(c: int, v: int, inverse: bool = False) -> np.ndarray:
-    chans = np.arange(c)[:, None]
-    verts = np.arange(v)[None, :]
-    return (verts - chans) % v if inverse else (verts + chans) % v
-
-
-@lru_cache(maxsize=64)
-def _spatial_grids(c: int, t: int, v: int, inverse: bool):
-    ci = np.arange(c)[:, None, None]
-    ti = np.arange(t)[None, :, None]
-    vmap = _spatial_index(c, v, inverse)[:, None, :]
-    return ci, ti, vmap
+def _rotate_vertices(arr: np.ndarray, inverse: bool) -> np.ndarray:
+    """out[n,c,t,v] = arr[n,c,t,(v±c) mod V]: channels c ≡ s (mod V) share one rotation."""
+    c, v = arr.shape[1], arr.shape[3]
+    out = np.empty_like(arr)
+    for s in range(min(c, v)):
+        k = (v - s) % v if inverse else s
+        src, dst = arr[:, s::v], out[:, s::v]
+        dst[..., :v - k] = src[..., k:]
+        dst[..., v - k:] = src[..., :k]
+    return out
 
 
 def spatial_shift(x: Tensor, inverse: bool = False) -> Tensor:
@@ -41,12 +38,11 @@ def spatial_shift(x: Tensor, inverse: bool = False) -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"spatial_shift expects [N,C,T,V], got {x.shape}")
-    n, c, t, v = x.shape
-    data = x.data[(slice(None),) + _spatial_grids(c, t, v, inverse)]
+    data = _rotate_vertices(x.data, inverse)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g[(slice(None),) + _spatial_grids(c, t, v, not inverse)])
+            x._accumulate(_rotate_vertices(g, not inverse))
 
     return T._make(data, (x,), backward)
 
@@ -56,22 +52,21 @@ def temporal_offsets(c: int, radius: int) -> np.ndarray:
     return np.arange(c) % (2 * radius + 1) - radius
 
 
-@lru_cache(maxsize=64)
-def _temporal_grids(c: int, t: int, v: int, radius: int, negate: bool):
-    offsets = temporal_offsets(c, radius)
-    if negate:
-        offsets = -offsets
-    src = np.arange(t)[None, :] - offsets[:, None]  # [C, T]
-    tmap = np.where((src >= 0) & (src < t), src, t)  # t indexes an appended zero frame
-    return (np.arange(c)[:, None, None], tmap[:, :, None],
-            np.arange(v)[None, None, :])
-
-
 def _shift_frames(arr: np.ndarray, radius: int, negate: bool) -> np.ndarray:
     """arr[n,c,t-u(c),v] with zero fill for out-of-range frames."""
-    n, c, t, v = arr.shape
-    padded = np.concatenate([arr, np.zeros((n, c, 1, v), dtype=arr.dtype)], axis=2)
-    return padded[(slice(None),) + _temporal_grids(c, t, v, radius, negate)]
+    c, t = arr.shape[1], arr.shape[2]
+    period = 2 * radius + 1
+    out = np.zeros_like(arr)
+    for k in range(min(c, period)):
+        u = radius - k if negate else k - radius
+        if abs(u) >= t:
+            continue
+        src, dst = arr[:, k::period], out[:, k::period]
+        if u >= 0:
+            dst[:, :, u:] = src[:, :, :t - u]
+        else:
+            dst[:, :, :t + u] = src[:, :, -u:]
+    return out
 
 
 def temporal_shift(x: Tensor, radius: int) -> Tensor:

@@ -464,7 +464,7 @@ def _norm_axes(axis, ndim):
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
+    data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
 
     def backward(g):
         if a.requires_grad:
@@ -479,7 +479,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    data = a.data.mean(axis=axes, keepdims=keepdims)
+    data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
 
     def backward(g):
         if a.requires_grad:
@@ -508,8 +508,8 @@ def pointwise_conv2d(x, w, b) -> Tensor:
         raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
     n, ci, t, v = x.shape
     co = w.shape[0]
-    data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v) \
-        + b.data[None, :, None, None]
+    data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
+    data += b.data[None, :, None, None]
 
     def backward(g):
         gm = g.reshape(n, co, t * v)
@@ -563,31 +563,53 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training: bool,
 
     Train mode normalizes with batch statistics and updates the running
     arrays in place (exponential moving average, unbiased variance).  Eval
-    mode normalizes with the running statistics.
+    mode normalizes with the running statistics.  One graph node; the
+    backward keeps only x̂ and the per-channel 1/sqrt(var + eps).
     """
-    x = _as_tensor(x)
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d expects x[N,C,T,V], got {x.shape}")
     n, c, t, v = x.shape
+    axes = (0, 2, 3)
+    count = n * t * v
     if training:
-        count = n * t * v
         if count < 2:
             raise DomainError(f"batch_norm2d train mode needs >=2 elements per channel, got {count}")
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        xhat = centered / sqrt(var + eps)
+        mean = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - mean
+        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.data.reshape(c)
+        running_mean += momentum * mean.reshape(c)
         running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(c) * count / (count - 1)
+        running_var += momentum * var.reshape(c) * count / (count - 1)
     else:
-        rm = Tensor(running_mean.reshape(1, c, 1, 1), dtype=x.dtype)
-        rv = Tensor(running_var.reshape(1, c, 1, 1), dtype=x.dtype)
-        xhat = (x - rm) / sqrt(rv + eps)
-    g = reshape(gamma, (1, c, 1, 1))
-    b = reshape(beta, (1, c, 1, 1))
-    return xhat * g + b
+        rv = running_var.reshape(1, c, 1, 1).astype(x.dtype, copy=False)
+        inv = 1.0 / np.sqrt(rv + eps)
+        xhat = x.data - running_mean.reshape(1, c, 1, 1).astype(x.dtype, copy=False)
+        xhat *= inv
+    gain = gamma.data.reshape(1, c, 1, 1)
+    data = xhat * gain
+    data += beta.data.reshape(1, c, 1, 1)
+
+    def backward(g):
+        sum_g = g.sum(axis=axes)
+        sum_gx = np.einsum("nctv,nctv->c", g, xhat)
+        if beta.requires_grad:
+            beta._accumulate(sum_g)
+        if gamma.requires_grad:
+            gamma._accumulate(sum_gx)
+        if x.requires_grad:
+            if training:
+                gx = g - (sum_g / count).reshape(1, c, 1, 1)
+                gx -= xhat * (sum_gx / count).reshape(1, c, 1, 1)
+                gx *= gain * inv
+            else:
+                gx = g * (gain * inv)
+            x._accumulate(gx)
+
+    return _make(data, (x, gamma, beta), backward)
 
 
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:

@@ -160,3 +160,128 @@ def test_blocks_differentiable_end_to_end():
     assert x.grad is not None and np.all(np.isfinite(x.grad))
     for name, p in block.named_parameters():
         assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+
+def _spatial_loop(x, inverse=False):
+    """Per-element oracle: out[n,c,t,v] = x[n,c,t,(v ± c) mod V]."""
+    n, c, t, v = x.shape
+    out = np.empty_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for ti in range(t):
+                for vi in range(v):
+                    src = (vi - ci) % v if inverse else (vi + ci) % v
+                    out[ni, ci, ti, vi] = x[ni, ci, ti, src]
+    return out
+
+
+def _temporal_loop(x, radius):
+    """Per-element oracle: out[n,c,t,v] = x[n,c,t-u(c),v], zero outside [0, T)."""
+    n, c, t, v = x.shape
+    out = np.zeros_like(x)
+    for ci, u in enumerate(temporal_offsets(c, radius)):
+        for ti in range(t):
+            if 0 <= ti - u < t:
+                out[:, ci, ti, :] = x[:, ci, ti - u, :]
+    return out
+
+
+def _gather_spatial(arr, inverse):
+    """The broadcast fancy-index gather the slice-copy spatial shift replaced."""
+    n, c, t, v = arr.shape
+    chans, verts = np.arange(c)[:, None], np.arange(v)[None, :]
+    vmap = (verts - chans) % v if inverse else (verts + chans) % v
+    return arr[:, np.arange(c)[:, None, None], np.arange(t)[None, :, None], vmap[:, None, :]]
+
+
+def _gather_temporal(arr, radius, negate):
+    """The padded-frame gather the slice-copy temporal shift replaced."""
+    n, c, t, v = arr.shape
+    offsets = -temporal_offsets(c, radius) if negate else temporal_offsets(c, radius)
+    src = np.arange(t)[None, :] - offsets[:, None]
+    tmap = np.where((src >= 0) & (src < t), src, t)
+    padded = np.concatenate([arr, np.zeros((n, c, 1, v), dtype=arr.dtype)], axis=2)
+    return padded[:, np.arange(c)[:, None, None], tmap[:, :, None], np.arange(v)[None, None, :]]
+
+
+def _forward_backward(op, x, g):
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = op(xt)
+    out._backward(g)
+    return out.data, xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("shape", [(2, 7, 3, 3), (1, 3, 2, 5), (2, 1, 4, 5), (1, 12, 2, 4)])
+def test_spatial_shift_matches_loop_oracle(shape, inverse, dtype):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=shape).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    out, grad = _forward_backward(lambda t: spatial_shift(t, inverse=inverse), x, g)
+    assert out.dtype == dtype and grad.dtype == dtype
+    np.testing.assert_array_equal(out, _spatial_loop(x, inverse))
+    np.testing.assert_array_equal(grad, _spatial_loop(g, not inverse))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,radius", [
+    ((2, 7, 5, 3), 1), ((2, 7, 5, 3), 2), ((1, 1, 4, 2), 1), ((1, 3, 6, 2), 2),
+    ((2, 9, 3, 2), 3), ((1, 11, 2, 3), 5),
+])
+def test_temporal_shift_matches_loop_oracle(shape, radius, dtype):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=shape).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    out, grad = _forward_backward(lambda t: temporal_shift(t, radius), x, g)
+    assert out.dtype == dtype and grad.dtype == dtype
+    expected = _temporal_loop(x, radius)
+    np.testing.assert_array_equal(out, expected)
+    # the adjoint is the same shift with negated offsets: flip time, shift, flip back
+    np.testing.assert_array_equal(grad, _temporal_loop(g[:, :, ::-1], radius)[:, :, ::-1])
+    # channels whose offset reaches past the window come out zero in every frame
+    far = np.abs(temporal_offsets(shape[1], radius)) >= shape[2]
+    assert np.all(out[:, far] == 0) and np.all(grad[:, far] == 0)
+
+
+@pytest.mark.parametrize("op", ["spatial", "spatial_inverse", "temporal"])
+def test_shift_adjoint_identity(op):
+    rng = np.random.default_rng(22)
+    shape = (2, 11, 6, 4)
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    fn = {"spatial": spatial_shift,
+          "spatial_inverse": lambda t: spatial_shift(t, inverse=True),
+          "temporal": lambda t: temporal_shift(t, 2)}[op]
+    out, back = _forward_backward(fn, x, y)
+    assert abs(np.vdot(out, y) - np.vdot(x, back)) <= 1e-12 * np.sum(np.abs(x * back))
+
+
+def test_shifts_equal_the_gather_at_ntu60_shape():
+    rng = np.random.default_rng(23)
+    shape = (2, 216, 64, 25)
+    x = rng.normal(size=shape).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    for inverse in (False, True):
+        out, grad = _forward_backward(lambda t: spatial_shift(t, inverse=inverse), x, g)
+        assert np.array_equal(out, _gather_spatial(x, inverse))
+        assert np.array_equal(grad, _gather_spatial(g, not inverse))
+    out, grad = _forward_backward(lambda t: temporal_shift(t, 1), x, g)
+    assert np.array_equal(out, _gather_temporal(x, 1, negate=False))
+    assert np.array_equal(grad, _gather_temporal(g, 1, negate=True))
+
+
+def _op_nodes(out):
+    return sum(1 for node in T._toposort(out) if node._backward is not None)
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda rng: ShiftSGcnBlock(4, 6, rng), 4),  # shift, conv, bn, relu
+    (lambda rng: ShiftTcnBlock(4, rng), 3),  # shift, conv, bn
+], ids=["sgcn", "tcn"])
+def test_shift_blocks_record_one_node_per_op(make, expected):
+    rng = np.random.default_rng(24)
+    block = make(rng)
+    x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
+    assert _op_nodes(block(x)) == expected
+    with T.no_grad():
+        assert _op_nodes(block(x)) == 0

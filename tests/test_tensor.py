@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,54 @@ def test_batchnorm_running_stats_update():
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(
         rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)) * count / (count - 1), atol=1e-12)
+
+
+def _batch_norm2d_composite(x, gamma, beta, running_mean, running_var, training,
+                            momentum=0.1, eps=1e-5):
+    """The batch-norm built from tensor primitives that the fused op replaced."""
+    c = x.shape[1]
+    if training:
+        count = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        xhat = centered / T.sqrt(var + eps)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.data.reshape(c)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.data.reshape(c) * count / (count - 1)
+    else:
+        rm = Tensor(running_mean.reshape(1, c, 1, 1), dtype=x.dtype)
+        rv = Tensor(running_var.reshape(1, c, 1, 1), dtype=x.dtype)
+        xhat = (x - rm) / T.sqrt(rv + eps)
+    return xhat * T.reshape(gamma, (1, c, 1, 1)) + T.reshape(beta, (1, c, 1, 1))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_fused_matches_composite_float64(training):
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(0.7, 1.9, size=(3, 4, 5, 6))
+    g0, b0 = rng.normal(size=4), rng.normal(size=4)
+    rm0, rv0 = rng.normal(size=4), 0.5 + rng.random(4)
+    weights = rng.normal(size=x0.shape)
+    results = []
+    for op in (T.batch_norm2d, _batch_norm2d_composite):
+        x = Tensor(x0, requires_grad=True)
+        gamma, beta = Tensor(g0, requires_grad=True), Tensor(b0, requires_grad=True)
+        rm, rv = rm0.copy(), rv0.copy()
+        out = op(x, gamma, beta, rm, rv, training)
+        (out * weights).sum().backward()
+        results.append((out.data, x.grad, gamma.grad, beta.grad, rm, rv))
+    for name, fused, composite in zip(("out", "dx", "dgamma", "dbeta", "running_mean",
+                                       "running_var"), *results):
+        assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+def test_full_reduction_data_is_a_0d_array():
+    loss = T.cross_entropy_logits(Tensor([[1.0, -2.0], [0.5, 0.0]]), np.array([0, 1]))
+    assert isinstance(loss.data, np.ndarray) and loss.data.ndim == 0
+    assert weakref.ref(loss.data)() is loss.data
+    assert isinstance(Tensor(np.ones(3)).sum().data, np.ndarray)
 
 
 def test_rmsnorm_hand_values():
