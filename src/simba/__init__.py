@@ -40,8 +40,8 @@ from .shift_gcn import (  # noqa: E402
     spatial_shift,
     temporal_shift,
 )
-from .tensor import Tensor, no_grad, set_default_dtype, using_dtype  # noqa: E402
-from .train import SGD, build_model, evaluate, fuse_scores, lr_at, train  # noqa: E402
+from .tensor import Tensor, no_grad  # noqa: E402
+from .train import SGD, build_model, evaluate, fuse_scores, lr_at  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "build_model", "derive_modality", "evaluate", "flatten_vertices",
     "fuse_scores", "load_dataset", "lr_at", "lti_conv", "lti_kernel", "no_grad",
     "sample_window", "save_dataset", "selective_scan_parallel",
-    "selective_scan_sequential", "set_default_dtype", "spatial_shift",
-    "synth_generate", "temporal_shift", "train", "unflatten_vertices",
-    "using_dtype", "zoh_discretize",
+    "selective_scan_sequential", "spatial_shift", "synth_generate",
+    "temporal_shift", "unflatten_vertices", "zoh_discretize",
 ]

@@ -11,12 +11,11 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
 from .bench import bench_scan, rows_to_csv
 from .checkpoint import load_checkpoint, read_checkpoint
 from .config import PRESETS, TrainConfig
 from .data import Modality, load_dataset, save_dataset, synth_generate
-from .errors import SimbaError, ValidationError
+from .errors import SimbaError, TrainingAbort, ValidationError
 from .gradcheck import SUITES, run_suites
 from .train import accuracy, build_model, evaluate, fuse_scores, load_scores, save_scores, train
 
@@ -94,7 +93,6 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     train_ds = load_dataset(args.data)
     eval_ds = load_dataset(args.eval_data) if args.eval_data else train_ds
-    T.set_default_dtype(cfg.precision)
     model = build_model(cfg, train_ds)
     print(f"model: {model.num_params()} parameters, depth {cfg.depth_l}")
     metrics, best = train(model, train_ds, eval_ds, cfg, out_dir=args.out,
@@ -111,7 +109,6 @@ def _cmd_eval(args) -> int:
         raise ValidationError(
             f"dataset ({ds.num_classes} classes, {ds.num_joints} joints) does not match "
             f"checkpoint ({meta['num_classes']} classes, {meta['num_joints']} joints)")
-    T.set_default_dtype(cfg.precision)
     model = build_model(cfg, ds)
     load_checkpoint(args.ckpt, model)
     probs, labels = evaluate(model, ds, cfg, args.modality)
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SimbaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TrainingAbort) else 1  # an abort is a runtime failure
     except Exception as exc:  # runtime failure, not a usage problem
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

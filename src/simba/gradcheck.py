@@ -311,8 +311,7 @@ SUITES = {
 def run_suites(names=None):
     """Run the requested suites; returns [(suite, check, err, tol)]."""
     results = []
-    with T.using_dtype("float64"):
-        for suite in names or SUITES:
-            for check, err, tol in SUITES[suite]():
-                results.append((suite, check, err, tol))
+    for suite in names or SUITES:
+        for check, err, tol in SUITES[suite]():
+            results.append((suite, check, err, tol))
     return results

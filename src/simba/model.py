@@ -53,7 +53,7 @@ class PartitionGate(Module):
 
     def __init__(self, channels: int, labels: np.ndarray, rng: np.random.Generator):
         super().__init__()
-        labels = np.asarray(labels, dtype=T.get_default_dtype())
+        labels = np.asarray(labels, dtype=np.float64)
         if labels.ndim != 2:
             raise ConfigError(f"partition labels must be [V, K], got {labels.shape}")
         row_sums = labels.sum(axis=1)
@@ -63,7 +63,7 @@ class PartitionGate(Module):
             raise ConfigError("every partition must contain at least one joint")
         self._labels = labels
         self._pool = labels / labels.sum(axis=0, keepdims=True)
-        self.gate = Parameter(np.full((1, channels, 1, 1), 0.5, dtype=T.get_default_dtype()))
+        self.gate = Parameter(np.full((1, channels, 1, 1), 0.5))
         self.proj = PointwiseConv2d(channels, channels, rng)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -26,7 +26,7 @@ class Parameter(Tensor):
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Fan-in-scaled uniform init on [-sqrt(1/fan_in), sqrt(1/fan_in)]."""
     bound = float(np.sqrt(1.0 / fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(T.get_default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Module:
@@ -68,6 +68,17 @@ class Module:
         for name, child in self._children():
             yield from child.named_buffers(prefix + name + ".")
 
+    def astype(self, dtype):
+        """Cast every parameter and buffer in place; returns self."""
+        for name, value in list(vars(self).items()):
+            if isinstance(value, Parameter):
+                value.data = value.data.astype(dtype)
+            elif isinstance(value, np.ndarray) and not name.startswith("_"):
+                setattr(self, name, value.astype(dtype))
+        for _, child in self._children():
+            child.astype(dtype)
+        return self
+
     def train(self, mode: bool = True):
         self.training = mode
         for _, child in self._children():
@@ -91,7 +102,7 @@ class Linear(Module):
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
         self.w = Parameter(uniform_init(rng, (fan_in, fan_out), fan_in), decay=True)
-        self.b = Parameter(np.zeros(fan_out, dtype=T.get_default_dtype())) if bias else None
+        self.b = Parameter(np.zeros(fan_out)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.w.shape[0]:
@@ -108,7 +119,7 @@ class PointwiseConv2d(Module):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
-        self.b = Parameter(np.zeros(c_out, dtype=T.get_default_dtype()))
+        self.b = Parameter(np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.pointwise_conv2d(x, self.w, self.b)
@@ -120,7 +131,7 @@ class CausalConv1d(Module):
     def __init__(self, channels: int, kernel: int, rng: np.random.Generator):
         super().__init__()
         self.w = Parameter(uniform_init(rng, (channels, kernel), kernel), decay=True)
-        self.b = Parameter(np.zeros(channels, dtype=T.get_default_dtype()))
+        self.b = Parameter(np.zeros(channels))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.causal_conv1d_depthwise(x, self.w, self.b)
@@ -129,11 +140,10 @@ class CausalConv1d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
-        dt = T.get_default_dtype()
-        self.gamma = Parameter(np.ones(channels, dtype=dt))
-        self.beta = Parameter(np.zeros(channels, dtype=dt))
-        self.running_mean = np.zeros(channels, dtype=dt)
-        self.running_var = np.ones(channels, dtype=dt)
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
         self.momentum = momentum
         self.eps = eps
 
@@ -145,7 +155,7 @@ class BatchNorm2d(Module):
 class RMSNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
-        self.gain = Parameter(np.ones(dim, dtype=T.get_default_dtype()))
+        self.gain = Parameter(np.ones(dim))
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:

@@ -232,11 +232,10 @@ class SsmParams(Module):
 
     def __init__(self, dp: int, w: int, rng: np.random.Generator):
         super().__init__()
-        dt = T.get_default_dtype()
         self.dp = dp
         self.w = w
-        self.a_log = Parameter(np.tile(np.log(np.arange(1, w + 1, dtype=dt)), (dp, 1)))
-        step = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=dp)).astype(dt)
+        self.a_log = Parameter(np.tile(np.log(np.arange(1.0, w + 1)), (dp, 1)))
+        step = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=dp))
         self.p = Parameter(np.log(np.expm1(step)))
         self.w_b = Linear(dp, w, rng)
         self.w_c = Linear(dp, w, rng)

@@ -6,9 +6,10 @@ references to its parents and a closure that accumulates gradients into
 them.  ``backward()`` on a scalar replays the closures in reverse
 topological order.
 
-Two numeric widths are supported.  float64 is the default (oracle and
-gradient-check mode); training switches to float32 via
-``set_default_dtype``.
+Every array keeps the dtype of its data: float32 in, float32 out.  There
+is no global default.  Non-float data (lists, ints, Python scalars) becomes
+float64, and the non-Tensor operand of a binary op takes the dtype of the
+Tensor one, so ``x - 1.0`` stays in the width of ``x``.
 """
 
 from __future__ import annotations
@@ -19,31 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for tensors created from raw data ('float32'/'float64')."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValidationError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextmanager
-def using_dtype(dtype):
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(prev)
 
 
 @contextmanager
@@ -65,9 +42,9 @@ def is_grad_enabled() -> bool:
 class Tensor:
     """A numpy-backed array node in the autodiff graph.
 
-    ``data`` is always a numpy float array.  ``grad`` is lazily allocated
-    and accumulated additively, so a tensor consumed by several ops
-    receives the sum of all contributions.
+    ``data`` is a numpy float array; non-float input becomes float64.
+    ``grad`` is lazily allocated in the dtype of ``data`` and accumulated
+    additively, so a tensor consumed by several ops sums all contributions.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -75,7 +52,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        data = np.asarray(data, dtype=dtype)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -106,18 +84,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     # --- autodiff core ---
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the first contribution is copied, never aliased: ops hand the same
+        # g to several parents, and reshape hands down a view of its own grad
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate grads of every reachable tensor; requires a scalar output."""
@@ -145,16 +123,16 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), mul(self, -1.0))
+        return add(other, -self)
 
     def __truediv__(self, other):
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
+        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -191,6 +169,15 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _as_tensors(a, b):
+    """Wrap both operands; a non-Tensor one takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(a, dtype=b.dtype if isinstance(b, Tensor) else None)
+    if not isinstance(b, Tensor):
+        b = Tensor(b, dtype=a.dtype)
+    return a, b
 
 
 def _toposort(root: Tensor):
@@ -246,7 +233,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -259,7 +246,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -272,7 +259,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     data = a.data / b.data
 
     def backward(g):
@@ -623,8 +610,7 @@ def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True), dtype=x.dtype)  # detached, grad-free
-    e = exp(x - shift)
+    e = exp(x - np.max(x.data, axis=axis, keepdims=True))  # the shift carries no gradient
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -638,8 +624,7 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         bad = int(np.argmax((labels < 0) | (labels >= k)))
         raise ValidationError(f"label {labels[bad]} at row {bad} outside [0, {k})")
-    shift = Tensor(np.max(logits.data, axis=1, keepdims=True), dtype=logits.dtype)
-    z = logits - shift
+    z = logits - np.max(logits.data, axis=1, keepdims=True)
     lse = log(exp(z).sum(axis=1, keepdims=True))
     picked = gather(z, labels[:, None], axis=1)
     return (lse - picked).mean()

@@ -12,7 +12,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .data import SkeletonDataset, assemble_batch
-from .errors import TrainingAbort, ValidationError
+from .errors import DomainError, TrainingAbort, ValidationError
 from .model import SimbaModel
 from .tensor import cross_entropy_logits, no_grad, softmax
 
@@ -67,13 +67,13 @@ def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
              modality: str = "joint"):
     """Deterministic full-dataset pass; returns (probs [N, K], labels [N])."""
     model.eval()
+    dtype = model.parameters()[0].dtype
     probs = np.empty((len(dataset), model.num_classes))
     labels = np.empty(len(dataset), dtype=np.int64)
     with no_grad():
         for start in range(0, len(dataset), cfg.batch_size_eval):
             idx = range(start, min(start + cfg.batch_size_eval, len(dataset)))
-            x, y = assemble_batch(dataset, idx, cfg.window_T, "eval", modality,
-                                  dtype=T.get_default_dtype())
+            x, y = assemble_batch(dataset, idx, cfg.window_T, "eval", modality, dtype=dtype)
             logits = model(T.Tensor(x))
             probs[idx.start:idx.stop] = softmax(logits, axis=1).data
             labels[idx.start:idx.stop] = y
@@ -96,16 +96,18 @@ def _occurrence_counts(order: np.ndarray) -> np.ndarray:
 
 
 def build_model(cfg: TrainConfig, dataset: SkeletonDataset) -> SimbaModel:
-    T.set_default_dtype(cfg.precision)
+    """Build in float64 from the seed, then cast once to ``cfg.precision``:
+    the one place the precision is read; later arrays follow the parameters."""
     rng = np.random.default_rng(cfg.seed)
     labels = dataset.partition_labels() if cfg.partitions_enabled else None
-    return SimbaModel(
+    model = SimbaModel(
         in_channels=3, channels=cfg.channels_C, mamba_d=cfg.mamba_D,
         vertices=dataset.num_joints, ssm_w=cfg.ssm_W, depth=cfg.depth_l,
         num_classes=dataset.num_classes, rng=rng, with_imamba=cfg.with_imamba,
         partition_labels=labels, tcn_radius=cfg.temporal_shift_radius,
         conv_kernel=cfg.conv_kernel, norm_placement=cfg.norm_placement,
         scan_chunk=cfg.scan_chunk)
+    return model.astype(cfg.precision)
 
 
 def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset,
@@ -115,9 +117,11 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
 
     Per-epoch metrics records hold only seed-deterministic fields so the
     JSON-lines log is reproducible byte-for-byte; wall-clock timing goes to
-    the console instead.
+    the console instead.  A step that fails (a non-finite value, or a
+    ``DomainError`` such as an underflowed step size) raises ``TrainingAbort``
+    naming the epoch and the batch, or the epoch's evaluation.
     """
-    T.set_default_dtype(cfg.precision)
+    dtype = model.parameters()[0].dtype
     opt = SGD(model.named_parameters(), momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, nesterov=cfg.nesterov)
     shuffle_rng = np.random.default_rng([cfg.seed, 0xD5])
@@ -144,19 +148,25 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
             x, y = assemble_batch(train_ds, idx, cfg.window_T, "train", modality,
                                   seed_parts=(cfg.seed, epoch),
                                   occurrences=occurrence[start:start + cfg.batch_size_train],
-                                  dtype=T.get_default_dtype())
-            logits = model(T.Tensor(x))
-            loss = cross_entropy_logits(logits, y)
-            if not np.isfinite(loss.item()):
-                raise TrainingAbort(f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step(lr)
+                                  dtype=dtype)
+            try:
+                logits = model(T.Tensor(x))
+                loss = cross_entropy_logits(logits, y)
+                if not np.isfinite(loss.item()):
+                    raise TrainingAbort("non-finite loss")
+                opt.zero_grad()
+                loss.backward()
+                opt.step(lr)
+            except (DomainError, TrainingAbort) as exc:
+                raise TrainingAbort(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             losses.append(loss.item() * len(idx))
             hits += int(np.sum(logits.data.argmax(axis=1) == y))
             seen += len(idx)
             del logits, loss  # free this step's graph before the next forward
-        probs, labels = evaluate(model, eval_ds, cfg, modality)
+        try:
+            probs, labels = evaluate(model, eval_ds, cfg, modality)
+        except DomainError as exc:
+            raise TrainingAbort(f"epoch {epoch}, evaluation: {exc}") from exc
         eval_acc = accuracy(probs, labels)
         record = {
             "epoch": epoch,

@@ -145,7 +145,6 @@ def test_criterion_4_shape_contract():
         assert logits.shape == (2, 10)
     wall = time.perf_counter() - tic
     assert wall < 30.0
-    T.set_default_dtype("float64")
     _report("criterion-4 shape-contract",
             f"both presets trace the published ladder, full-depth logits (2, 10), {wall:.1f}s")
 

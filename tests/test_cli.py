@@ -111,6 +111,18 @@ def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     assert run("bench-scan", "--chunks", "0") == 1
 
 
+def test_training_abort_is_runtime_failure(tmp_path, toy_data, capsys):
+    cfg = preset_toy()
+    cfg.epochs = 1
+    cfg.milestones = []
+    cfg.base_lr = 1e6  # the first step wrecks the parameters
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert run("train", "--config", str(path), "--data", str(toy_data),
+               "--out", str(tmp_path / "run"), "--quiet") == 2
+    assert "epoch 0" in capsys.readouterr().err
+
+
 def test_missing_file_is_runtime_failure(tmp_path, capsys):
     assert run("eval", "--ckpt", str(tmp_path / "none.bin"),
                "--data", str(tmp_path / "none.skl"), "--scores",

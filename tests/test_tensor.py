@@ -293,10 +293,34 @@ def test_no_grad_suppresses_recording():
     assert out._parents == ()
 
 
-def test_dtype_switch():
-    T.set_default_dtype("float32")
-    assert Tensor([1.0]).dtype == np.float32
-    T.set_default_dtype("float64")
+def test_non_float_data_becomes_float64():
+    assert Tensor([1, 2]).dtype == np.float64
+    assert Tensor(3).dtype == np.float64
     assert Tensor([1.0]).dtype == np.float64
-    with pytest.raises(ValidationError):
-        T.set_default_dtype("int32")
+    assert Tensor(np.arange(3, dtype=np.int32)).dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+
+
+def test_scalar_operands_take_the_tensor_dtype():
+    t = Tensor(np.array([0.25, 3.0], dtype=np.float32), requires_grad=True)
+    for out in (t - 1.0, 1.0 - t, t / 2.0, 2.0 / t, t + 1.0, 3.0 * t, -t,
+                t - np.ones(2), T.rms_norm(t.reshape(1, 2), Tensor(np.ones(2, dtype=np.float32)))):
+        assert out.dtype == np.float32
+    (1.0 - t).sum().backward()
+    assert t.grad.dtype == np.float32
+
+
+def test_first_gradient_contribution_is_copied():
+    # add hands one g to both parents; neither grad may alias the other
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    (a + b).sum().backward()
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def test_gradient_dtype_follows_data():
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    x._accumulate(np.full((2, 3), 1.0 / 3.0))
+    assert x.grad.dtype == np.float32
+    assert x.grad[0, 0] == np.float32(1.0 / 3.0)

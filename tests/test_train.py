@@ -1,5 +1,4 @@
 import json
-import sys
 import weakref
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 from simba import tensor as T
 from simba.config import PRESETS, TrainConfig, preset_toy, preset_ucla
-from simba.errors import ConfigError, TrainingAbort, ValidationError
+from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationError
 from simba.data import synth_generate
 from simba.nn import Parameter
 from simba.tensor import Tensor, cross_entropy_logits
@@ -242,7 +241,7 @@ def test_previous_step_graph_is_released_before_next_forward(monkeypatch):
     # references, so each step is watched through its logits' data buffer:
     # the loss keeps the logits alive as its parent, so a dead buffer means
     # a dead loss and a released graph.
-    train_mod = sys.modules["simba.train"]  # the package re-exports train() under that name
+    import simba.train as train_mod
     cfg, ds, model = _toy_setup(seed=7, epochs=1)
     cfg.batch_size_train = 2
     steps, alive_at_forward = [], []
@@ -264,6 +263,33 @@ def test_previous_step_graph_is_released_before_next_forward(monkeypatch):
     assert len(steps) == n_steps
     # train-mode forwards come first; the per-epoch evaluate forward follows
     assert alive_at_forward[:n_steps] == [[False] * k for k in range(n_steps)]
+
+
+def test_step_size_underflow_aborts_with_location():
+    cfg, ds, model = _toy_setup(seed=4, epochs=1, precision="float32")
+    for module in model.modules_:
+        module.imamba.ssm.p.data[...] = -1e4  # softplus underflows to a zero step
+    with pytest.raises(TrainingAbort, match=r"epoch 0, batch 0") as info:
+        train(model, ds, ds, cfg, verbose=False)
+    assert isinstance(info.value.__cause__, DomainError)
+
+
+def test_float32_model_stays_float32_after_a_float64_build():
+    ds = synth_generate(3, 2, v=8, t_raw=20, noise=0.05, seed=8)
+    cfg32 = preset_toy()
+    cfg32.precision = "float32"
+    model32 = build_model(cfg32, ds)
+    cfg64 = preset_toy()
+    cfg64.precision = "float64"
+    model64 = build_model(cfg64, ds)
+    assert {p.dtype for p in model64.parameters()} == {np.dtype(np.float64)}
+    from simba.data import assemble_batch
+    x, y = assemble_batch(ds, range(len(ds)), cfg32.window_T, "eval", "joint", dtype=np.float32)
+    logits = model32(Tensor(x))
+    assert logits.dtype == np.float32
+    cross_entropy_logits(logits, y).backward()
+    assert {p.grad.dtype for p in model32.parameters()} == {np.dtype(np.float32)}
+    assert {b.dtype for _, b in model32.named_buffers()} == {np.dtype(np.float32)}
 
 
 def test_evaluate_returns_valid_distributions():
@@ -300,3 +326,12 @@ def test_depth_ablation_both_depths_converge():
         assert max(m["train_acc"] for m in metrics) >= 0.9, depth
         final[depth] = metrics[-1]["train_loss"]
     print(f"depth-ablation final losses: depth2={final[2]:.4f} depth4={final[4]:.4f}")
+
+
+def test_public_names_resolve_and_train_is_the_submodule():
+    import types
+
+    import simba
+    for name in simba.__all__:
+        assert hasattr(simba, name), name
+    assert isinstance(simba.train, types.ModuleType)
