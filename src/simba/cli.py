@@ -103,7 +103,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     meta, _ = read_checkpoint(args.ckpt)
-    cfg = TrainConfig(**meta["config"])
+    cfg = TrainConfig.from_dict(meta["config"])
     ds = load_dataset(args.data)
     if ds.num_classes != meta["num_classes"] or ds.num_joints != meta["num_joints"]:
         raise ValidationError(

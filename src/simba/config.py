@@ -71,7 +71,10 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        raw = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TrainConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:

@@ -90,7 +90,7 @@ class SimbaModule(Module):
         super().__init__()
         if c % 4 != 0:
             raise ConfigError(f"channel dimension must be divisible by 4, got {c}")
-        self.c_in, self.c, self.d, self.v = c_in, c, d, v
+        self.v = v
         self.entry = ShiftSGcnBlock(c_in, c, rng)
         self.gate = PartitionGate(c, partition_labels, rng) if partition_labels is not None else None
         self.enc = [
@@ -132,33 +132,6 @@ class SimbaModule(Module):
             x4 = unflatten_vertices(self.imamba(flat), self.v)
         x7 = self.decode(x4, skips)
         return T.relu(self.tcn(x7) + self.residual(x_in))
-
-    def forward_trace(self, x_in: Tensor):
-        """Forward pass that also reports each stage's output shape."""
-        trace = {"input": x_in.shape}
-        x_l = self.entry(x_in)
-        trace["entry"] = x_l.shape
-        if self.gate is not None:
-            x_l = self.gate(x_l)
-            trace["gate"] = x_l.shape
-        x2 = self.enc[0](x_l)
-        x3 = self.enc[1](x2)
-        x4 = self.enc[2](x3)
-        trace["enc1"], trace["enc2"], trace["enc3"] = x2.shape, x3.shape, x4.shape
-        if self.imamba is not None:
-            flat = flatten_vertices(x4)
-            trace["flatten"] = flat.shape
-            flat = self.imamba(flat)
-            trace["imamba"] = flat.shape
-            x4 = unflatten_vertices(flat, self.v)
-            trace["unflatten"] = x4.shape
-        x5 = self.dec[0](x4) + x3
-        x6 = self.dec[1](x5) + x2
-        x7 = self.dec[2](x6) + x_l
-        trace["dec1"], trace["dec2"], trace["dec3"] = x5.shape, x6.shape, x7.shape
-        out = T.relu(self.tcn(x7) + self.residual(x_in))
-        trace["output"] = out.shape
-        return out, trace
 
 
 class SimbaModel(Module):

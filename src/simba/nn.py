@@ -29,14 +29,28 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _is_buffer(name: str, value) -> bool:
+    return isinstance(value, np.ndarray) and not name.startswith("_")
+
+
+# (paths by module id, {path: (input shape, output shape)}) while
+# trace_shapes runs, else None
+_TRACE = None
+
+
 class Module:
-    """Minimal block base: parameter discovery, buffers, train/eval mode."""
+    """Minimal block base: module and parameter discovery, buffers, train/eval mode."""
 
     def __init__(self):
         self.training = True
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        if _TRACE is not None:
+            paths, shapes = _TRACE
+            if id(self) in paths:
+                shapes[paths[id(self)]] = (args[0].shape, out.shape)
+        return out
 
     def _children(self):
         for name, value in vars(self).items():
@@ -47,42 +61,44 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix: str = ""):
-        for name, value in vars(self).items():
-            if isinstance(value, Parameter):
-                yield (prefix + name, value)
+    def named_modules(self, path: str = ""):
+        """Every module of the tree, depth first, keyed by dotted path ("" is self)."""
+        yield path, self
         for name, child in self._children():
-            yield from child.named_parameters(prefix + name + ".")
+            yield from child.named_modules(f"{path}.{name}" if path else name)
+
+    def _named_state(self, keep):
+        for path, module in self.named_modules():
+            for name, value in vars(module).items():
+                if keep(name, value):
+                    yield (f"{path}.{name}" if path else name, value)
+
+    def named_parameters(self):
+        return self._named_state(lambda name, value: isinstance(value, Parameter))
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
+    def named_buffers(self):
         """Non-trainable state that still belongs in a checkpoint (BN stats).
 
         Underscore-prefixed arrays are caches, not state, and are skipped.
         """
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and not name.startswith("_"):
-                yield (prefix + name, value)
-        for name, child in self._children():
-            yield from child.named_buffers(prefix + name + ".")
+        return self._named_state(_is_buffer)
 
     def astype(self, dtype):
         """Cast every parameter and buffer in place; returns self."""
-        for name, value in list(vars(self).items()):
-            if isinstance(value, Parameter):
-                value.data = value.data.astype(dtype)
-            elif isinstance(value, np.ndarray) and not name.startswith("_"):
-                setattr(self, name, value.astype(dtype))
-        for _, child in self._children():
-            child.astype(dtype)
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        for _, module in self.named_modules():
+            for name, value in list(vars(module).items()):
+                if _is_buffer(name, value):
+                    setattr(module, name, value.astype(dtype))
         return self
 
     def train(self, mode: bool = True):
-        self.training = mode
-        for _, child in self._children():
-            child.train(mode)
+        for _, module in self.named_modules():
+            module.training = mode
         return self
 
     def eval(self):
@@ -94,6 +110,23 @@ class Module:
 
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
+
+
+def trace_shapes(module: Module, x) -> dict:
+    """Run ``module(x)``; return {dotted path: (input shape, output shape)}.
+
+    Every submodule called during the forward is recorded under the path
+    ``named_modules`` gives it, in that order; ``""`` is ``module`` itself.
+    """
+    global _TRACE
+    paths = {id(m): path for path, m in module.named_modules()}
+    shapes = {}
+    _TRACE = (paths, shapes)
+    try:
+        module(x)
+    finally:
+        _TRACE = None
+    return {path: shapes[path] for path in paths.values() if path in shapes}
 
 
 class Linear(Module):

@@ -35,10 +35,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy-backed array node in the autodiff graph.
 
@@ -136,9 +132,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     # --- method aliases for the functional ops ---
 
@@ -269,17 +262,6 @@ def div(a, b) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data ** exponent
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1))
-
-    return _make(data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:

@@ -15,6 +15,7 @@ from simba.config import preset_toy
 from simba.data import synth_generate
 from simba.gradcheck import BLOCK_TOL, check_module, run_suites
 from simba.model import PartitionGate, SimbaModule
+from simba.nn import trace_shapes
 from simba.ssm import ScanInputs, lti_conv, lti_kernel, selective_scan_parallel, \
     selective_scan_sequential, zoh_discretize
 from simba.tensor import Tensor
@@ -112,7 +113,16 @@ def test_criterion_4_shape_contract():
     with T.no_grad():
         ntu = SimbaModule(3, 216, 20, 25, 16, np.random.default_rng(0), scan_chunk=16)
         ntu.eval()
-        _, trace = ntu.forward_trace(Tensor(np.random.default_rng(1).normal(size=(2, 3, 64, 25))))
+        trace = trace_shapes(ntu, Tensor(np.random.default_rng(1).normal(size=(2, 3, 64, 25))))
+        # each decoder stage's skip sum is the next block's input
+        stages = {
+            "input": trace[""][0], "entry": trace["entry"][1],
+            "enc1": trace["enc.0"][1], "enc2": trace["enc.1"][1], "enc3": trace["enc.2"][1],
+            "flatten": trace["imamba"][0], "imamba": trace["imamba"][1],
+            "unflatten": trace["dec.0"][0],
+            "dec1": trace["dec.1"][0], "dec2": trace["dec.2"][0], "dec3": trace["tcn"][0],
+            "output": trace[""][1],
+        }
         expected = {
             "input": (2, 3, 64, 25), "entry": (2, 216, 64, 25),
             "enc1": (2, 108, 64, 25), "enc2": (2, 54, 64, 25), "enc3": (2, 20, 64, 25),
@@ -120,7 +130,7 @@ def test_criterion_4_shape_contract():
             "dec1": (2, 54, 64, 25), "dec2": (2, 108, 64, 25), "dec3": (2, 216, 64, 25),
             "output": (2, 216, 64, 25),
         }
-        assert trace == expected, trace
+        assert stages == expected, stages
 
         # modules after the first map C -> C at the same ladder
         chained = SimbaModule(216, 216, 20, 25, 16, np.random.default_rng(3), scan_chunk=16)
@@ -130,23 +140,25 @@ def test_criterion_4_shape_contract():
 
         ucla = SimbaModule(3, 216, 25, 20, 16, np.random.default_rng(0), scan_chunk=16)
         ucla.eval()
-        _, utrace = ucla.forward_trace(Tensor(np.random.default_rng(2).normal(size=(2, 3, 52, 20))))
-        assert utrace["flatten"] == (2, 52, 500)
-        assert utrace["output"] == (2, 216, 52, 20)
+        utrace = trace_shapes(ucla, Tensor(np.random.default_rng(2).normal(size=(2, 3, 52, 20))))
+        assert utrace["imamba"][0] == (2, 52, 500)
+        assert utrace[""][1] == (2, 216, 52, 20)
 
         # the stacked 10-deep 10-class model ends in (N, 10) logits
         from simba.config import preset_ucla
-        from simba.data import synth_generate
-        from simba.train import build_model
         ds = synth_generate(10, 1, v=20, t_raw=60, noise=0.0, seed=0)
         model = build_model(preset_ucla(), ds)
         model.eval()
-        logits = model(Tensor(np.random.default_rng(5).normal(size=(2, 3, 52, 20)).astype(np.float32)))
-        assert logits.shape == (2, 10)
+        mtrace = trace_shapes(
+            model, Tensor(np.random.default_rng(5).normal(size=(2, 3, 52, 20)).astype(np.float32)))
+        assert [mtrace[f"modules_.{i}"][1] for i in range(10)] == [(2, 216, 52, 20)] * 10
+        assert mtrace["head"] == ((2, 216), (2, 10))
+        assert mtrace[""][1] == (2, 10)
     wall = time.perf_counter() - tic
     assert wall < 30.0
     _report("criterion-4 shape-contract",
-            f"both presets trace the published ladder, full-depth logits (2, 10), {wall:.1f}s")
+            f"both presets trace the published ladder, 10 modules at (2, 216, 52, 20), "
+            f"full-depth logits (2, 10), {wall:.1f}s")
 
 
 def test_criterion_5_toy_overfit():

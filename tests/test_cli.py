@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ def test_eval_and_duplicate_fusion_match(tmp_path, toy_config, toy_data, capsys)
     fuse_line = capsys.readouterr().out.strip()
     fuse_acc = float(fuse_line.split("accuracy")[1].split()[0])
     assert fuse_acc == eval_acc
+
+
+def test_eval_rejects_unknown_config_field(tmp_path, toy_config, toy_data, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--out", str(out), "--quiet") == 0
+    # rewrite the checkpoint's JSON meta block with one field the config lacks
+    raw = (out / "checkpoint.bin").read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[6:10])
+    meta = json.loads(raw[10:10 + meta_len])
+    meta["config"]["scan_chunks"] = 4
+    blob = json.dumps(meta).encode("utf-8")
+    ckpt = tmp_path / "unknown_field.bin"
+    ckpt.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + meta_len:])
+    capsys.readouterr()
+    assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
+               "--scores", str(tmp_path / "s.json")) == 1
+    assert "unknown config fields: ['scan_chunks']" in capsys.readouterr().err
 
 
 def test_train_outputs_reproducible_byte_for_byte(tmp_path, toy_config, toy_data):

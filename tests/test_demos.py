@@ -14,6 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_discretization_and_scans.py", "02_shift_blocks.py", "03_module_tour.py",
          "04_gradient_checks.py", "06_scan_benchmark.py"]
+# output a demo must print; demo 03 traces the 500-wide temporal core
+EXPECTED = {"03_module_tour.py": "imamba: (2, 64, 500) -> (2, 64, 500)"}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -24,3 +26,4 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert EXPECTED.get(demo, "") in proc.stdout

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simba import nn
 from simba import tensor as T
 from simba.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from simba.errors import ConfigError, FormatError, ShapeError, ValidationError
@@ -215,6 +216,35 @@ def test_gate_enabled_module_forward():
 # ---------------------------------------------------------------------------
 # whole model
 # ---------------------------------------------------------------------------
+
+def test_trace_shapes_names_paths_like_parameters():
+    model = tiny_model(labels=_labels(4, [0, 0, 1, 1])).eval()
+    with T.no_grad():
+        trace = nn.trace_shapes(model, Tensor(np.random.default_rng(15).normal(size=(2, 3, 5, 4))))
+    assert trace[""] == ((2, 3, 5, 4), (2, 10))
+    assert trace["modules_.0.gate.proj"] == ((2, 8, 5, 2), (2, 8, 5, 2))  # 2 partitions
+    assert trace["modules_.1.imamba"] == ((2, 5, 8), (2, 5, 8))          # V*D = 4*2
+    assert trace["head"] == ((2, 8), (2, 10))
+    names = [name for name, _ in model.named_parameters()]
+    for path in trace:
+        assert any(name.startswith(f"{path}." if path else "") for name in names), path
+
+
+def test_trace_is_off_outside_trace_shapes():
+    model = tiny_model(labels=_labels(4, [0, 0, 1, 1])).eval()
+    rng = np.random.default_rng(16)
+    with T.no_grad():
+        model(Tensor(rng.normal(size=(2, 3, 5, 4))))
+        assert nn._TRACE is None
+        # the gate rejects 5 joints after the entry block has been recorded
+        with pytest.raises(ShapeError):
+            nn.trace_shapes(model, Tensor(rng.normal(size=(2, 3, 5, 5))))
+        assert nn._TRACE is None
+        model(Tensor(rng.normal(size=(2, 3, 5, 4))))
+        assert nn._TRACE is None
+        trace = nn.trace_shapes(model, Tensor(rng.normal(size=(1, 3, 5, 4))))
+    assert all(shapes[0][0] == 1 for shapes in trace.values())
+
 
 def test_logits_shape_for_ten_classes():
     model = tiny_model(num_classes=10).eval()
