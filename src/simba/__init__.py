@@ -25,7 +25,6 @@ from .data import (  # noqa: E402
 from .model import PartitionGate, SimbaModel, SimbaModule, flatten_vertices, unflatten_vertices  # noqa: E402
 from .ssm import (  # noqa: E402
     IMambaBlock,
-    ScanInputs,
     SsmParams,
     lti_conv,
     lti_kernel,
@@ -46,7 +45,7 @@ from .train import SGD, build_model, evaluate, fuse_scores, lr_at  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "IMambaBlock", "Modality", "PRESETS", "PartitionGate", "SGD", "ScanInputs",
+    "IMambaBlock", "Modality", "PRESETS", "PartitionGate", "SGD",
     "ShiftSGcnBlock", "ShiftTcnBlock", "SimbaModel", "SimbaModule",
     "SkeletonDataset", "SsmParams", "Tensor", "TrainConfig", "UnitTcnResidual",
     "build_model", "derive_modality", "evaluate", "flatten_vertices",

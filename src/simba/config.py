@@ -61,8 +61,10 @@ class TrainConfig:
             raise ConfigError(f"channels_C must be divisible by 4, got {self.channels_C}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-        if self.repeat_augmentation < 1:
-            raise ConfigError("repeat_augmentation must be >= 1")
+        for name in ("repeat_augmentation", "batch_size_train", "batch_size_eval", "window_T",
+                     "mamba_D", "ssm_W", "conv_kernel"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.scan_chunk < 0:
             raise ConfigError(f"scan_chunk must be >= 0, got {self.scan_chunk}")
 

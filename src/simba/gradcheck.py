@@ -17,7 +17,7 @@ from . import tensor as T
 from .model import PartitionGate, SimbaModule
 from .nn import BatchNorm2d
 from .shift_gcn import ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual, spatial_shift, temporal_shift
-from .ssm import IMambaBlock, ScanInputs, selective_scan_parallel, selective_scan_sequential, zoh_discretize
+from .ssm import IMambaBlock, selective_scan_parallel, selective_scan_sequential
 from .tensor import Tensor
 
 PRIMITIVE_TOL = 1e-6
@@ -193,35 +193,22 @@ def suite_primitives():
 
 def suite_scan():
     rng = np.random.default_rng(23)
-    checks = []
     n, t, dp, w = 1, 5, 2, 3
-    a_cont = Tensor(-(0.2 + rng.random((dp, w))), requires_grad=True)
-    b_t = _leaf(rng, (n, t, w))
     delta = Tensor(0.05 + rng.random((n, t, dp)), requires_grad=True)
-    pz = _projection(rng, (n, t, dp, w))
-
-    def zoh_loss():
-        a_bar, b_bar = zoh_discretize(a_cont, b_t, delta)
-        return _project(a_bar, pz) + _project(b_bar, pz)
-
-    checks.append(("zoh_discretize", check_gradients(zoh_loss, {"a": a_cont, "b": b_t, "delta": delta}),
-                   PRIMITIVE_TOL))
-
-    a_bar = Tensor(0.1 + 0.85 * rng.random((n, t, dp, w)), requires_grad=True)
-    b_bar = _leaf(rng, (n, t, dp, w))
+    a_cont = Tensor(-(0.2 + rng.random((dp, w))), requires_grad=True)
+    b = _leaf(rng, (n, t, w))
     c = _leaf(rng, (n, t, w))
     y = _leaf(rng, (n, t, dp))
     pout = _projection(rng, (n, t, dp))
-    leaves = {"a": a_bar, "b": b_bar, "c": c, "y": y}
-    checks.append(("selective_scan_sequential",
-                   check_gradients(lambda: _project(
-                       selective_scan_sequential(ScanInputs(a_bar, b_bar, c), y), pout), leaves),
-                   PRIMITIVE_TOL))
-    checks.append(("selective_scan_parallel",
-                   check_gradients(lambda: _project(
-                       selective_scan_parallel(ScanInputs(a_bar, b_bar, c), y, 2), pout), leaves),
-                   PRIMITIVE_TOL))
-    return checks
+    leaves = {"delta": delta, "a": a_cont, "b": b, "c": c, "y": y}
+    return [
+        ("selective_scan_sequential",
+         check_gradients(lambda: _project(selective_scan_sequential(delta, a_cont, b, c, y), pout), leaves),
+         PRIMITIVE_TOL),
+        ("selective_scan_parallel",
+         check_gradients(lambda: _project(selective_scan_parallel(delta, a_cont, b, c, y, 2), pout), leaves),
+         PRIMITIVE_TOL),
+    ]
 
 
 def suite_shift_sgcn():

@@ -95,15 +95,13 @@ def temporal_shift(x: Tensor, radius: int) -> Tensor:
 class ShiftSGcnBlock(Module):
     """Spatial shift -> pointwise conv -> BN -> ReLU, mapping Cin to Cout."""
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, relu: bool = True):
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.conv = PointwiseConv2d(c_in, c_out, rng)
         self.bn = BatchNorm2d(c_out)
-        self.relu = relu
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn(self.conv(spatial_shift(x)))
-        return T.relu(out) if self.relu else out
+        return T.relu(self.bn(self.conv(spatial_shift(x))))
 
 
 class ShiftTcnBlock(Module):

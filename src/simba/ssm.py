@@ -7,13 +7,17 @@ A bank of independent diagonal linear systems, one per channel:
 
 with the per-step coefficients produced from the input by zero-order-hold
 discretization of a continuous system (a = exp(delta*A),
-b = (exp(delta*A)-1)/A * B).  Selection makes B, C and delta functions of
+b = expm1(delta*A)/A * B).  Selection makes B, C and delta functions of
 the input, so the recurrence is time-varying.
 
-The scan itself is a single recorded autodiff op with a hand-written
-adjoint: the gradient of a linear recurrence is the same recurrence run
-backwards in time.  Forward and adjoint share one strategy, picked by the
-chunk size:
+``selective_scan_sequential(delta, A, B, C, y)`` and
+``selective_scan_parallel(delta, A, B, C, y, chunk)`` record one autodiff
+node that discretizes, scans and reads out.  Its inputs are at most
+[N, T, Dp] in size; the [N, T, Dp, W] coefficients and states are
+recomputed in backward instead of stored, as in Mamba's fused kernel.
+The adjoint of a linear recurrence is the same recurrence run backwards in
+time, and its result is chained through the ZOH by hand.  Forward and
+adjoint share one scan strategy, picked by the chunk size:
 
 * sequential — one numpy step per timestep (the reference);
 * chunked — the sequence is cut into chunks whose local recurrences are
@@ -21,11 +25,12 @@ chunk size:
   carried states are stitched across chunk boundaries with one short
   sequential pass.  A chunk covering the whole sequence runs the
   sequential loop, so it matches the reference bit-for-bit.
+
+``zoh_discretize`` is the numpy discretization the op runs, exposed for
+the oracles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +44,38 @@ from .tensor import Tensor
 # zero-order hold discretization
 # ---------------------------------------------------------------------------
 
-def zoh_discretize(a_cont: Tensor, b_t: Tensor, delta: Tensor):
+def _zoh(a_cont: np.ndarray, delta: np.ndarray):
+    """(exp(delta*A), expm1(delta*A)/A), both [N, T, Dp, W]."""
+    da = delta[..., None] * a_cont
+    a_bar = np.exp(da)
+    q = np.expm1(da, out=da)
+    q /= a_cont
+    return a_bar, q
+
+
+def zoh_discretize(a_cont: np.ndarray, b_t: np.ndarray, delta: np.ndarray):
     """Discretize a diagonal continuous system over per-step sizes.
 
     a_cont: [Dp, W] strictly negative diagonal entries
     b_t:    [N, T, W] per-step input projections
     delta:  [N, T, Dp] strictly positive step sizes
 
-    Returns (a_bar, b_bar), both [N, T, Dp, W]:
+    Returns numpy arrays (a_bar, b_bar), both [N, T, Dp, W]:
         a_bar = exp(delta*A)
-        b_bar = (exp(delta*A) - 1) / A * B
+        b_bar = expm1(delta*A) / A * B
+    ``expm1`` keeps b_bar accurate when delta*A is tiny, where exp(x)-1
+    cancels.
     """
-    if np.any(a_cont.data >= 0.0):
+    if np.any(a_cont >= 0.0):
         raise DomainError("continuous state coefficients must be strictly negative")
-    if np.any(delta.data <= 0.0):
+    if np.any(delta <= 0.0):
         raise DomainError("step sizes must be strictly positive")
     n, t, dp = delta.shape
     w = a_cont.shape[-1]
     if a_cont.shape != (dp, w) or b_t.shape != (n, t, w):
         raise ShapeError(f"inconsistent zoh shapes: A {a_cont.shape}, B {b_t.shape}, delta {delta.shape}")
-    da = T.reshape(delta, (n, t, dp, 1)) * a_cont
-    a_bar = T.exp(da)
-    b_bar = (a_bar - 1.0) / a_cont * T.reshape(b_t, (n, t, 1, w))
+    a_bar, b_bar = _zoh(a_cont, delta)
+    b_bar *= b_t[:, :, None, :]
     return a_bar, b_bar
 
 
@@ -154,66 +169,71 @@ def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
 # the recorded scan op
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanInputs:
-    """Per-timestep discretized coefficients feeding the scan.
+def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
+    """One graph node: ZOH discretization, the scan and the readout.
 
-    a_bar: [N, T, Dp, W], in (0, 1] for a stable system
-    b_bar: [N, T, Dp, W] state-injection coefficients
-    c:     [N, T, W] readout projections
+    delta [N, T, Dp], a_cont [Dp, W], b and c [N, T, W], y [N, T, Dp].
+    Nothing of shape [N, T, Dp, W] outlives the forward: the backward
+    recomputes a_bar, b_bar and the states from the inputs.
     """
-
-    a_bar: Tensor
-    b_bar: Tensor
-    c: Tensor
-
-    def __post_init__(self):
-        n, t, dp, w = self.a_bar.shape
-        if self.b_bar.shape != (n, t, dp, w) or self.c.shape != (n, t, w):
-            raise ShapeError(
-                f"inconsistent scan inputs: a {self.a_bar.shape}, b {self.b_bar.shape}, c {self.c.shape}")
-
-
-def _selective_scan(inputs: ScanInputs, y_in: Tensor, chunk) -> Tensor:
-    a, b, c, y = inputs.a_bar, inputs.b_bar, inputs.c, y_in
-    n, t, dp, w = a.shape
-    if y.shape != (n, t, dp):
-        raise ShapeError(f"scan input sequence {y.shape} does not match coefficients {a.shape}")
-    inj = b.data * y.data[..., None]
-    h = _scan_states(a.data, inj, chunk)
-    out = np.einsum("ntw,ntdw->ntd", c.data, h)
+    n, t, dp = delta.shape
+    w = a_cont.shape[-1]
+    if y.shape != (n, t, dp) or c.shape != (n, t, w):
+        raise ShapeError(f"inconsistent scan inputs: delta {delta.shape}, c {c.shape}, y {y.shape}")
+    a_bar, b_bar = zoh_discretize(a_cont.data, b.data, delta.data)
+    b_bar *= y.data[..., None]  # now the state injection b_bar*y
+    out = np.einsum("ntw,ntdw->ntd", c.data, _scan_states(a_bar, b_bar, chunk))
 
     def backward(g):
+        a = a_cont.data
+        a_bar, q = _zoh(a, delta.data)
+        b_bar = q * b.data[:, :, None, :]
+        h = _scan_states(a_bar, b_bar * y.data[..., None], chunk)
         # d L/d h_t has a direct part from the readout plus everything that
         # flows back through later states; the latter is the same scan run
         # in reverse time with the coefficients shifted by one step.
         direct = g[..., None] * c.data[:, :, None, :]
-        a_rev = np.flip(a.data, axis=1)
+        a_rev = np.flip(a_bar, axis=1)
         coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
         lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
-        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-        if a.requires_grad:
-            a._accumulate(lam * h_prev)
-        if b.requires_grad:
-            b._accumulate(lam * y.data[..., None])
-        if y.requires_grad:
-            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b.data))
         if c.requires_grad:
             c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
+        if y.requires_grad:
+            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar))
+        # ga = lam*h_{t-1} and gb = lam*y are the gradients of a_bar and
+        # b_bar; chain them through the ZOH with d a_bar/d delta = A*a_bar,
+        # d q/d delta = a_bar and d q/d A = (delta*a_bar - q)/A, where
+        # b_bar = q*B.  gu = (ga + gb*B/A)*a_bar collects the common factor.
+        ga = np.zeros_like(lam)
+        np.multiply(lam[:, 1:], h[:, :-1], out=ga[:, 1:])
+        gb = lam * y.data[..., None]
+        if b.requires_grad:
+            b._accumulate(np.einsum("ntdw,ntdw->ntw", gb, q))
+        gu = gb * b.data[:, :, None, :]
+        gu /= a
+        gu += ga
+        gu *= a_bar
+        if delta.requires_grad:
+            delta._accumulate(np.einsum("ntdw,dw->ntd", gu, a))
+        if a_cont.requires_grad:
+            grad_a = np.einsum("ntdw,ntd->dw", gu, delta.data)
+            grad_a -= np.einsum("ntdw,ntdw->dw", gb, b_bar) / a
+            a_cont._accumulate(grad_a)
 
-    return T._make(out, (a, b, c, y), backward)
+    return T._make(out, (delta, a_cont, b, c, y), backward)
 
 
-def selective_scan_sequential(inputs: ScanInputs, y_in: Tensor) -> Tensor:
+def selective_scan_sequential(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor) -> Tensor:
     """Reference scan: strict one-step-at-a-time recurrence."""
-    return _selective_scan(inputs, y_in, chunk=None)
+    return _selective_scan(delta, a_cont, b, c, y, chunk=None)
 
 
-def selective_scan_parallel(inputs: ScanInputs, y_in: Tensor, chunk: int) -> Tensor:
+def selective_scan_parallel(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor,
+                            chunk: int) -> Tensor:
     """Chunked scan; mathematically identical to the sequential reference."""
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
-    return _selective_scan(inputs, y_in, chunk=chunk)
+    return _selective_scan(delta, a_cont, b, c, y, chunk=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +269,6 @@ class SsmParams(Module):
         logit = self.w_dt(x)  # [N, T, 1], broadcast across channels
         return T.softplus(logit + self.p)
 
-    def scan_inputs(self, x: Tensor) -> ScanInputs:
-        b_t = self.w_b(x)
-        c_t = self.w_c(x)
-        a_bar, b_bar = zoh_discretize(self.a_cont(), b_t, self.delta(x))
-        return ScanInputs(a_bar, b_bar, c_t)
-
 
 class IMambaBlock(Module):
     """Gated selective-scan layer with RMS norm and a residual connection.
@@ -282,18 +296,18 @@ class IMambaBlock(Module):
         self.norm_placement = norm_placement
         self.scan_chunk = scan_chunk
 
-    def _scan(self, inputs: ScanInputs, y: Tensor) -> Tensor:
-        if self.scan_chunk > 1:
-            return selective_scan_parallel(inputs, y, self.scan_chunk)
-        return selective_scan_sequential(inputs, y)
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dp:
             raise ShapeError(f"block configured for [N,T,{self.dp}], got {x.shape}")
         u = self.norm(x) if self.norm_placement == "pre" else x
         y = T.silu(self.conv(self.in_proj_y(u)))
         z = T.silu(self.in_proj_z(u))
-        s = self._scan(self.ssm.scan_inputs(u), y)
+        ssm = self.ssm
+        args = (ssm.delta(u), ssm.a_cont(), ssm.w_b(u), ssm.w_c(u), y)
+        if self.scan_chunk > 1:
+            s = selective_scan_parallel(*args, self.scan_chunk)
+        else:
+            s = selective_scan_sequential(*args)
         gated = self.out_proj(s * z)
         if self.norm_placement == "post":
             gated = self.norm(gated)

@@ -147,18 +147,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis, keepdims)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def relu(self):
-        return relu(self)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -399,25 +387,6 @@ def permute(a, axes) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def gather(a, index: np.ndarray, axis: int) -> Tensor:
-    """take_along_axis with a full-shaped integer index; scatter-add backward."""
-    a = _as_tensor(a)
-    index = np.asarray(index)
-    if index.ndim != a.ndim:
-        raise ShapeError(f"gather index rank {index.ndim} != tensor rank {a.ndim}")
-    data = np.take_along_axis(a.data, index, axis=axis)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            loc = list(np.indices(index.shape, sparse=False))
-            loc[axis] = index
-            np.add.at(ga, tuple(loc), g)
-            a._accumulate(ga)
-
-    return _make(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -597,16 +566,30 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:
-    """Mean of -log softmax(logits)[label]; stabilized by max subtraction."""
+    """Mean of -log softmax(logits)[label]; stabilized by max subtraction.
+
+    One graph node; the backward is (softmax - onehot(label)) / N.
+    """
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ShapeError(f"cross entropy expects logits[N,K] and labels[N]; got {logits.shape}, {labels.shape}")
-    k = logits.shape[1]
+    n, k = logits.shape
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         bad = int(np.argmax((labels < 0) | (labels >= k)))
         raise ValidationError(f"label {labels[bad]} at row {bad} outside [0, {k})")
-    z = logits - np.max(logits.data, axis=1, keepdims=True)
-    lse = log(exp(z).sum(axis=1, keepdims=True))
-    picked = gather(z, labels[:, None], axis=1)
-    return (lse - picked).mean()
+    rows = np.arange(n)
+    z = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    data = np.asarray((np.log(total)[:, 0] - z[rows, labels]).mean())
+    probs = e / total
+
+    def backward(g):
+        if logits.requires_grad:
+            grad = probs.copy()
+            grad[rows, labels] -= 1.0
+            grad *= g / n
+            logits._accumulate(grad)
+
+    return _make(data, (logits,), backward)

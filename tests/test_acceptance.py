@@ -16,8 +16,8 @@ from simba.data import synth_generate
 from simba.gradcheck import BLOCK_TOL, check_module, run_suites
 from simba.model import PartitionGate, SimbaModule
 from simba.nn import trace_shapes
-from simba.ssm import ScanInputs, lti_conv, lti_kernel, selective_scan_parallel, \
-    selective_scan_sequential, zoh_discretize
+from simba.ssm import lti_conv, lti_kernel, selective_scan_parallel, selective_scan_sequential, \
+    zoh_discretize
 from simba.tensor import Tensor
 from simba.train import build_model, fuse_scores, train
 
@@ -28,11 +28,10 @@ def _report(criterion: str, detail: str):
 
 def test_criterion_1_zoh_oracle():
     tic = time.perf_counter()
-    a_bar, b_bar = zoh_discretize(Tensor(np.full((1, 1), -1.0)),
-                                  Tensor(np.ones((1, 1, 1))),
-                                  Tensor(np.full((1, 1, 1), np.log(2.0))))
-    assert abs(a_bar.data.ravel()[0] - 0.5) <= 1e-12
-    assert abs(b_bar.data.ravel()[0] - 0.5) <= 1e-12
+    a_bar, b_bar = zoh_discretize(np.full((1, 1), -1.0), np.ones((1, 1, 1)),
+                                  np.full((1, 1, 1), np.log(2.0)))
+    assert abs(a_bar.ravel()[0] - 0.5) <= 1e-12
+    assert abs(b_bar.ravel()[0] - 0.5) <= 1e-12
 
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -42,10 +41,9 @@ def test_criterion_1_zoh_oracle():
         b_val = rng.normal()
         s = np.linspace(0.0, d_val, 10_001)
         ref = simpson(np.exp(s * a_val) * b_val, x=s)
-        _, bb = zoh_discretize(Tensor(np.full((1, 1), a_val)),
-                               Tensor(np.full((1, 1, 1), b_val)),
-                               Tensor(np.full((1, 1, 1), d_val)))
-        worst = max(worst, abs(bb.data.ravel()[0] - ref))
+        _, bb = zoh_discretize(np.full((1, 1), a_val), np.full((1, 1, 1), b_val),
+                               np.full((1, 1, 1), d_val))
+        worst = max(worst, abs(bb.ravel()[0] - ref))
     wall = time.perf_counter() - tic
     assert worst <= 1e-8
     assert wall < 1.0
@@ -59,13 +57,14 @@ def test_criterion_2_scan_equivalences():
     t_len = 64
     worst_scan = 0.0
     for _ in range(5):
-        inputs = ScanInputs(Tensor(0.05 + 0.9 * rng.random((2, t_len, 3, 4))),
-                            Tensor(rng.normal(size=(2, t_len, 3, 4))),
-                            Tensor(rng.normal(size=(2, t_len, 4))))
-        y = Tensor(rng.normal(size=(2, t_len, 3)))
-        ref = selective_scan_sequential(inputs, y).data
+        args = (Tensor(0.05 + rng.random((2, t_len, 3))),
+                Tensor(-(0.2 + rng.random((3, 4)))),
+                Tensor(rng.normal(size=(2, t_len, 4))),
+                Tensor(rng.normal(size=(2, t_len, 4))),
+                Tensor(rng.normal(size=(2, t_len, 3))))
+        ref = selective_scan_sequential(*args).data
         for chunk in (1, 3, 16, t_len):
-            par = selective_scan_parallel(inputs, y, chunk).data
+            par = selective_scan_parallel(*args, chunk).data
             worst_scan = max(worst_scan, float(np.max(np.abs(par - ref))))
     assert worst_scan <= 1e-12
 
@@ -80,12 +79,11 @@ def test_criterion_2_scan_equivalences():
         delta = float(np.exp(srng.uniform(-3.0, 0.0)))
         y = srng.normal(size=m)
         conv_out = lti_conv(y, lti_kernel(a, b, c, delta, m))
-        a_bar = np.exp(delta * a)
-        b_bar = (a_bar - 1.0) / a * b
-        inputs = ScanInputs(Tensor(np.broadcast_to(a_bar, (1, m, 1, w)).copy()),
-                            Tensor(np.broadcast_to(b_bar, (1, m, 1, w)).copy()),
-                            Tensor(np.broadcast_to(c, (1, m, w)).copy()))
-        scan_out = selective_scan_sequential(inputs, Tensor(y.reshape(1, m, 1))).data.ravel()
+        scan_out = selective_scan_sequential(
+            Tensor(np.full((1, m, 1), delta)), Tensor(a.reshape(1, w)),
+            Tensor(np.broadcast_to(b, (1, m, w)).copy()),
+            Tensor(np.broadcast_to(c, (1, m, w)).copy()),
+            Tensor(y.reshape(1, m, 1))).data.ravel()
         worst_lti = max(worst_lti, float(np.max(np.abs(conv_out - scan_out))))
     wall = time.perf_counter() - tic
     assert worst_lti <= 1e-10

@@ -123,10 +123,12 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     bad_cfg = tmp_path / "bad.json"
-    bad_cfg.write_text(json.dumps({"base_lr": -1.0}))
-    assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
-               "--out", str(tmp_path / "o")) == 1
-    assert "error" in capsys.readouterr().err
+    for bad in ({"base_lr": -1.0}, {"batch_size_train": 0}, {"conv_kernel": 0},
+                {"mamba_D": 0}, {"ssm_W": 0}):
+        bad_cfg.write_text(json.dumps(bad))
+        assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
+                   "--out", str(tmp_path / "o")) == 1, bad
+        assert "error" in capsys.readouterr().err
     assert run("bench-scan", "--chunks", "0") == 1
 
 

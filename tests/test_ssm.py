@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from simba import ssm
 from simba import tensor as T
 from simba.errors import DomainError, ShapeError
 from simba.ssm import (
     IMambaBlock,
-    ScanInputs,
     SsmParams,
     lti_conv,
     lti_kernel,
@@ -18,11 +18,47 @@ from simba.tensor import Tensor
 
 
 def _random_scan_inputs(rng, n, t, dp, w):
-    a = Tensor(0.05 + 0.9 * rng.random((n, t, dp, w)))
-    b = Tensor(rng.normal(size=(n, t, dp, w)))
-    c = Tensor(rng.normal(size=(n, t, w)))
-    y = Tensor(rng.normal(size=(n, t, dp)))
-    return ScanInputs(a, b, c), y
+    """(delta, A, B, C, y) Tensors of a stable selective system."""
+    return (Tensor(0.05 + rng.random((n, t, dp))),
+            Tensor(-(0.2 + rng.random((dp, w)))),
+            Tensor(rng.normal(size=(n, t, w))),
+            Tensor(rng.normal(size=(n, t, w))),
+            Tensor(rng.normal(size=(n, t, dp))))
+
+
+def _zoh_composite(a_cont: Tensor, b_t: Tensor, delta: Tensor):
+    """The Tensor-level ZOH the fused scan op replaced: seven graph nodes."""
+    n, t, dp = delta.shape
+    w = a_cont.shape[-1]
+    da = T.reshape(delta, (n, t, dp, 1)) * a_cont
+    a_bar = T.exp(da)
+    b_bar = (a_bar - 1.0) / a_cont * T.reshape(b_t, (n, t, 1, w))
+    return a_bar, b_bar
+
+
+def _scan_composite(a: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
+    """The scan op over precomputed a_bar/b_bar that the fused op replaced."""
+    inj = b.data * y.data[..., None]
+    h = ssm._scan_states(a.data, inj, chunk)
+    out = np.einsum("ntw,ntdw->ntd", c.data, h)
+
+    def backward(g):
+        direct = g[..., None] * c.data[:, :, None, :]
+        a_rev = np.flip(a.data, axis=1)
+        coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
+        lam = np.flip(ssm._scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
+        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
+        a._accumulate(lam * h_prev)
+        b._accumulate(lam * y.data[..., None])
+        y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b.data))
+        c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
+
+    return T._make(out, (a, b, c, y), backward)
+
+
+def _selective_scan_composite(delta, a_cont, b, c, y, chunk=None):
+    a_bar, b_bar = _zoh_composite(a_cont, b, delta)
+    return _scan_composite(a_bar, b_bar, c, y, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -30,22 +66,27 @@ def _random_scan_inputs(rng, n, t, dp, w):
 # ---------------------------------------------------------------------------
 
 def test_zoh_scalar_closed_form():
-    a = Tensor(np.full((1, 1), -1.0))
-    b = Tensor(np.ones((1, 1, 1)))
-    delta = Tensor(np.full((1, 1, 1), np.log(2.0)))
-    a_bar, b_bar = zoh_discretize(a, b, delta)
-    assert abs(a_bar.data.ravel()[0] - 0.5) <= 1e-12
-    assert abs(b_bar.data.ravel()[0] - 0.5) <= 1e-12
+    a_bar, b_bar = zoh_discretize(np.full((1, 1), -1.0), np.ones((1, 1, 1)),
+                                  np.full((1, 1, 1), np.log(2.0)))
+    assert abs(a_bar.ravel()[0] - 0.5) <= 1e-12
+    assert abs(b_bar.ravel()[0] - 0.5) <= 1e-12
 
 
 def test_zoh_small_step_limit():
-    a = Tensor(np.full((1, 1), -0.7))
-    b = Tensor(np.full((1, 1, 1), 1.3))
-    delta = Tensor(np.full((1, 1, 1), 1e-8))
-    a_bar, b_bar = zoh_discretize(a, b, delta)
-    assert abs(a_bar.data.ravel()[0] - 1.0) < 1e-7
+    a_bar, b_bar = zoh_discretize(np.full((1, 1), -0.7), np.full((1, 1, 1), 1.3),
+                                  np.full((1, 1, 1), 1e-8))
+    assert abs(a_bar.ravel()[0] - 1.0) < 1e-7
     # first-order: b_bar/delta -> B
-    assert abs(b_bar.data.ravel()[0] / 1e-8 - 1.3) / 1.3 < 1e-6
+    assert abs(b_bar.ravel()[0] / 1e-8 - 1.3) / 1.3 < 1e-6
+
+
+def test_zoh_float32_small_step_matches_float64():
+    # exp(x)-1 in float32 is off by 1.4e-3 relative here; expm1 by ~1e-9
+    args = (np.full((1, 1), -1.0), np.ones((1, 1, 1)), np.full((1, 1, 1), 1e-5))
+    _, ref = zoh_discretize(*args)
+    _, b32 = zoh_discretize(*(a.astype(np.float32) for a in args))
+    assert b32.dtype == np.float32
+    assert abs(float(b32.ravel()[0]) - ref.ravel()[0]) / ref.ravel()[0] <= 1e-6
 
 
 def test_zoh_matches_quadrature_oracle():
@@ -58,22 +99,22 @@ def test_zoh_matches_quadrature_oracle():
         b_val = rng.normal()
         s = np.linspace(0.0, d_val, 10_001)
         ref = simpson(np.exp(s * a_val) * b_val, x=s)
-        a_bar, b_bar = zoh_discretize(
-            Tensor(np.full((1, 1), a_val)),
-            Tensor(np.full((1, 1, 1), b_val)),
-            Tensor(np.full((1, 1, 1), d_val)))
-        worst = max(worst, abs(b_bar.data.ravel()[0] - ref))
-        assert abs(a_bar.data.ravel()[0] - np.exp(d_val * a_val)) <= 1e-12
+        a_bar, b_bar = zoh_discretize(np.full((1, 1), a_val), np.full((1, 1, 1), b_val),
+                                      np.full((1, 1, 1), d_val))
+        worst = max(worst, abs(b_bar.ravel()[0] - ref))
+        assert abs(a_bar.ravel()[0] - np.exp(d_val * a_val)) <= 1e-12
     assert worst <= 1e-8
 
 
 def test_zoh_rejects_invalid_domain():
-    good_a = Tensor(np.full((1, 1), -1.0))
-    good_b = Tensor(np.ones((1, 1, 1)))
+    good_a = np.full((1, 1), -1.0)
+    good_b = np.ones((1, 1, 1))
     with pytest.raises(DomainError):
-        zoh_discretize(good_a, good_b, Tensor(np.zeros((1, 1, 1))))
+        zoh_discretize(good_a, good_b, np.zeros((1, 1, 1)))
     with pytest.raises(DomainError):
-        zoh_discretize(Tensor(np.full((1, 1), 0.5)), good_b, Tensor(np.ones((1, 1, 1))))
+        zoh_discretize(np.full((1, 1), 0.5), good_b, np.ones((1, 1, 1)))
+    with pytest.raises(ShapeError):
+        zoh_discretize(np.full((2, 1), -1.0), good_b, np.ones((1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,44 +122,43 @@ def test_zoh_rejects_invalid_domain():
 # ---------------------------------------------------------------------------
 
 def test_scan_hand_unroll():
-    inputs = ScanInputs(Tensor(np.full((1, 3, 1, 1), 0.5)),
-                        Tensor(np.full((1, 3, 1, 1), 0.5)),
-                        Tensor(np.ones((1, 3, 1))))
-    y = Tensor(np.ones((1, 3, 1)))
-    out = selective_scan_sequential(inputs, y)
+    # A=-1, delta=ln2 gives a_bar = b_bar = 0.5
+    out = selective_scan_sequential(Tensor(np.full((1, 3, 1), np.log(2.0))),
+                                    Tensor(np.full((1, 1), -1.0)),
+                                    Tensor(np.ones((1, 3, 1))),
+                                    Tensor(np.ones((1, 3, 1))),
+                                    Tensor(np.ones((1, 3, 1))))
     np.testing.assert_allclose(out.data.ravel(), [0.5, 0.75, 0.875], atol=1e-15)
 
 
 def test_scan_zero_readout_gives_zero():
     rng = np.random.default_rng(1)
-    inputs, y = _random_scan_inputs(rng, 2, 6, 3, 4)
-    inputs = ScanInputs(inputs.a_bar, inputs.b_bar, Tensor(np.zeros((2, 6, 4))))
-    out = selective_scan_sequential(inputs, y)
+    delta, a, b, _, y = _random_scan_inputs(rng, 2, 6, 3, 4)
+    out = selective_scan_sequential(delta, a, b, Tensor(np.zeros((2, 6, 4))), y)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_scan_single_step():
     rng = np.random.default_rng(2)
-    inputs, y = _random_scan_inputs(rng, 1, 1, 2, 3)
-    out = selective_scan_sequential(inputs, y)
-    expected = np.einsum("w,dw->d", inputs.c.data[0, 0],
-                         inputs.b_bar.data[0, 0] * y.data[0, 0][:, None])
+    delta, a, b, c, y = _random_scan_inputs(rng, 1, 1, 2, 3)
+    out = selective_scan_sequential(delta, a, b, c, y)
+    _, b_bar = zoh_discretize(a.data, b.data, delta.data)
+    expected = np.einsum("w,dw->d", c.data[0, 0], b_bar[0, 0] * y.data[0, 0][:, None])
     np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 16, 64])
 def test_parallel_matches_sequential(chunk):
     rng = np.random.default_rng(chunk)
-    inputs, y = _random_scan_inputs(rng, 2, 64, 3, 4)
-    leaves = (inputs.a_bar, inputs.b_bar, inputs.c, y)
+    leaves = _random_scan_inputs(rng, 2, 64, 3, 4)
     for leaf in leaves:
         leaf.requires_grad = True
     proj = Tensor(rng.normal(size=(2, 64, 3)))
     outs, grads = [], []
-    for scan in (selective_scan_sequential, lambda i, v: selective_scan_parallel(i, v, chunk)):
+    for scan in (selective_scan_sequential, lambda *args: selective_scan_parallel(*args, chunk)):
         for leaf in leaves:
             leaf.zero_grad()
-        out = scan(inputs, y)
+        out = scan(*leaves)
         (out * proj).sum().backward()
         outs.append(out.data)
         grads.append([leaf.grad for leaf in leaves])
@@ -128,40 +168,75 @@ def test_parallel_matches_sequential(chunk):
         assert np.max(np.abs(par - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("chunk", [None, 3], ids=["sequential", "parallel"])
+def test_fused_scan_matches_composite_float64(chunk):
+    rng = np.random.default_rng(31)
+    data = [leaf.data for leaf in _random_scan_inputs(rng, 2, 12, 3, 4)]
+    proj = rng.normal(size=(2, 12, 3))
+    fused = ((lambda *a: selective_scan_sequential(*a)) if chunk is None
+             else (lambda *a: selective_scan_parallel(*a, chunk)))
+    results = []
+    for op in (fused, lambda *a: _selective_scan_composite(*a, chunk=chunk)):
+        leaves = [Tensor(d.copy(), requires_grad=True) for d in data]
+        out = op(*leaves)
+        (out * Tensor(proj)).sum().backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for name, got, ref in zip(("out", "delta", "A", "B", "C", "y"), *results):
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) <= 1e-12, name
+
+
+def test_scan_node_keeps_no_state_sized_arrays():
+    # the backward recomputes every [N, T, Dp, W] array from the inputs
+    rng = np.random.default_rng(32)
+    leaves = _random_scan_inputs(rng, 2, 8, 3, 4)
+    for leaf in leaves:
+        leaf.requires_grad = True
+    out = selective_scan_parallel(*leaves, 3)
+    assert out._parents == leaves
+    held = []
+    for cell in out._backward.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value.ndim)
+    assert held and max(held) < 4, held
+
+
 def test_parallel_chunk_covering_t_is_bit_identical():
     rng = np.random.default_rng(3)
-    inputs, y = _random_scan_inputs(rng, 1, 17, 2, 3)
-    ref = selective_scan_sequential(inputs, y).data
+    args = _random_scan_inputs(rng, 1, 17, 2, 3)
+    ref = selective_scan_sequential(*args).data
     for chunk in (17, 40):
-        assert np.array_equal(selective_scan_parallel(inputs, y, chunk).data, ref)
+        assert np.array_equal(selective_scan_parallel(*args, chunk).data, ref)
 
 
 def test_parallel_rejects_bad_chunk():
     rng = np.random.default_rng(4)
-    inputs, y = _random_scan_inputs(rng, 1, 4, 1, 1)
+    args = _random_scan_inputs(rng, 1, 4, 1, 1)
     with pytest.raises(DomainError):
-        selective_scan_parallel(inputs, y, 0)
+        selective_scan_parallel(*args, 0)
 
 
 def test_scan_shape_mismatch_rejected():
     rng = np.random.default_rng(5)
-    inputs, _ = _random_scan_inputs(rng, 1, 4, 2, 3)
+    delta, a, b, c, _ = _random_scan_inputs(rng, 1, 4, 2, 3)
     with pytest.raises(ShapeError):
-        selective_scan_sequential(inputs, Tensor(np.zeros((1, 4, 5))))
+        selective_scan_sequential(delta, a, b, c, Tensor(np.zeros((1, 4, 5))))
     with pytest.raises(ShapeError):
-        ScanInputs(inputs.a_bar, inputs.b_bar, Tensor(np.zeros((1, 5, 3))))
+        selective_scan_sequential(delta, a, b, Tensor(np.zeros((1, 5, 3))), Tensor(np.zeros((1, 4, 2))))
+    with pytest.raises(ShapeError):
+        selective_scan_sequential(delta, a, Tensor(np.zeros((1, 4, 4))), c, Tensor(np.zeros((1, 4, 2))))
 
 
 def test_scan_stability_long_rollout():
-    # 0 < a <= 1 keeps states bounded over a million steps
+    # A < 0 and delta > 0 give 0 < a_bar < 1, which keeps states bounded
+    # over a million steps
     rng = np.random.default_rng(6)
-    n, t, dp, w = 1, 1_000_000, 1, 4
-    inputs = ScanInputs(Tensor(rng.random((n, t, dp, w))),
-                        Tensor(rng.normal(size=(n, t, dp, w))),
-                        Tensor(rng.normal(size=(n, t, w))))
-    y = Tensor(rng.normal(size=(n, t, dp)))
+    args = _random_scan_inputs(rng, 1, 1_000_000, 1, 4)
     with T.no_grad():
-        out = selective_scan_parallel(inputs, y, 1024)
+        out = selective_scan_parallel(*args, 1024)
     assert np.all(np.isfinite(out.data))
 
 
@@ -200,13 +275,11 @@ def test_lti_conv_matches_recurrence(seed):
     kernel = lti_kernel(a, b, c, delta, m)
     conv_out = lti_conv(y, kernel)
 
-    a_bar = np.exp(delta * a)
-    b_bar = (a_bar - 1.0) / a * b
-    inputs = ScanInputs(
-        Tensor(np.broadcast_to(a_bar, (1, m, 1, w)).copy()),
-        Tensor(np.broadcast_to(b_bar, (1, m, 1, w)).copy()),
-        Tensor(np.broadcast_to(c, (1, m, w)).copy()))
-    scan_out = selective_scan_sequential(inputs, Tensor(y.reshape(1, m, 1))).data.ravel()
+    scan_out = selective_scan_sequential(
+        Tensor(np.full((1, m, 1), delta)), Tensor(a.reshape(1, w)),
+        Tensor(np.broadcast_to(b, (1, m, w)).copy()),
+        Tensor(np.broadcast_to(c, (1, m, w)).copy()),
+        Tensor(y.reshape(1, m, 1))).data.ravel()
     assert np.max(np.abs(conv_out - scan_out)) <= 1e-10
 
 
@@ -269,7 +342,8 @@ def test_imamba_lti_mode_matches_kernel_convolution():
     block.ssm.w_c.b.data[:] = rng.normal(size=w)
 
     y = Tensor(rng.normal(size=(1, t, dp)))
-    scan_out = block._scan(block.ssm.scan_inputs(y), y).data[0]
+    p = block.ssm
+    scan_out = selective_scan_sequential(p.delta(y), p.a_cont(), p.w_b(y), p.w_c(y), y).data[0]
 
     a = -np.exp(block.ssm.a_log.data)
     deltas = np.log1p(np.exp(block.ssm.p.data))

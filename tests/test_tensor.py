@@ -253,6 +253,35 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     np.testing.assert_allclose(logits.grad, expected / 4.0, atol=1e-12)
 
 
+def _cross_entropy_composite(logits, labels):
+    """The cross-entropy built from tensor primitives that the fused op replaced,
+    with the label pick written as a one-hot product."""
+    z = logits - np.max(logits.data, axis=1, keepdims=True)
+    lse = T.log(T.exp(z).sum(axis=1, keepdims=True))
+    picked = z * Tensor(np.eye(logits.shape[1])[labels])
+    return (lse - picked.sum(axis=1, keepdims=True)).mean()
+
+
+def test_cross_entropy_matches_composite_float64():
+    rng = np.random.default_rng(12)
+    x0 = rng.normal(size=(6, 7)) * 5
+    labels = np.array([0, 6, 3, 3, 1, 5])
+    results = []
+    for op in (T.cross_entropy_logits, _cross_entropy_composite):
+        logits = Tensor(x0, requires_grad=True)
+        loss = op(logits, labels)
+        (loss * 2.5).backward()
+        results.append((loss.data, logits.grad))
+    for name, fused, composite in zip(("loss", "dlogits"), *results):
+        assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+def test_cross_entropy_is_one_node():
+    logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+    loss = T.cross_entropy_logits(logits, np.array([0, 2]))
+    assert loss._parents == (logits,)
+
+
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValidationError, match="label"):
         T.cross_entropy_logits(Tensor(np.zeros((2, 3))), np.array([0, 3]))
@@ -269,20 +298,6 @@ def test_relu_subgradient_at_zero_is_zero():
     x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
     T.relu(x).sum().backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
-
-
-def test_gather_and_scatter_add_roundtrip():
-    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    idx = np.array([[1, 1, 0, 2], [2, 0, 0, 1], [0, 2, 1, 1]])
-    out = T.gather(x, idx, axis=0)
-    np.testing.assert_array_equal(out.data, np.take_along_axis(x.data, idx, axis=0))
-    out.sum().backward()
-    # each column's gradient counts how often the row was picked
-    counts = np.zeros((3, 4))
-    for col in range(4):
-        for row in range(3):
-            counts[idx[row, col], col] += 1
-    np.testing.assert_array_equal(x.grad, counts)
 
 
 def test_no_grad_suppresses_recording():

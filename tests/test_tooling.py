@@ -1,0 +1,42 @@
+"""The benchmark harness names program functions by string; each must resolve.
+
+A rename in ``simba`` would otherwise zero a per-layer metric in silence
+(an unmatched span name) or break the benchmark run (a missing patch
+target), instead of failing here.
+"""
+
+import importlib
+import re
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _resolve(dotted: str):
+    """getattr chain from ``simba.<module>``: 'tensor.Tensor.backward' and the like."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"simba.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_perfbench_span_and_patch_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    names = set(spans.LAYER_OF)
+    names.update(name for parts in spans.PHASES.values() for name in parts)
+    names.update(re.findall(r'durations\("([\w.]+)"\)', (PERFBENCH / "run.py").read_text()))
+    # attributes of simba.train that the workloads read or replace
+    workloads = (PERFBENCH / "workloads.py").read_text()
+    names.update(f"train.{attr}" for attr in re.findall(r"\btrain\.(\w+(?:\.\w+)?)", workloads))
+    assert len(names) > 20
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except AttributeError:
+            missing.append(name)
+    assert not missing, missing
