@@ -6,6 +6,7 @@ Run from the repo root:  python3 demos/02_shift_blocks.py
 import numpy as np
 
 from simba import ShiftSGcnBlock, ShiftTcnBlock, Tensor, spatial_shift, temporal_shift
+from simba import tensor as T
 from simba.shift_gcn import temporal_offsets
 
 print("=== spatial shift: channel c rotates the joint axis by c ===")
@@ -33,10 +34,20 @@ print("\n=== the two block types ===")
 rng = np.random.default_rng(0)
 sgcn = ShiftSGcnBlock(3, 8, rng)
 tcn = ShiftTcnBlock(8, rng, radius=1)
-x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
 hidden = sgcn(x)
 out = tcn(hidden)
 print(f"spatial block: {x.shape} -> {hidden.shape} (shift, 1x1 conv, BN, ReLU)")
 print(f"temporal block: {hidden.shape} -> {out.shape} (shift, 1x1 conv, BN; "
       "the ReLU waits for the residual sum)")
 print("spatial block output is nonnegative:", bool(np.all(hidden.data >= 0)))
+
+
+def graph_nodes(t):
+    return sum(1 for node in T._toposort(t) if node._backward is not None)
+
+
+print(f"graph nodes recorded: spatial block {graph_nodes(hidden)}, "
+      f"temporal block {graph_nodes(out) - graph_nodes(hidden)}")
+print("each block is one node: shift, conv, BN (and ReLU) run fused, and the")
+print("backward re-runs the shift instead of keeping the shifted copy.")

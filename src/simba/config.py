@@ -65,6 +65,8 @@ class TrainConfig:
                      "mamba_D", "ssm_W", "conv_kernel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.temporal_shift_radius < 0:
+            raise ConfigError(f"temporal_shift_radius must be >= 0, got {self.temporal_shift_radius}")
         if self.scan_chunk < 0:
             raise ConfigError(f"scan_chunk must be >= 0, got {self.scan_chunk}")
 

@@ -15,8 +15,15 @@ import numpy as np
 
 from . import tensor as T
 from .model import PartitionGate, SimbaModule
-from .nn import BatchNorm2d
-from .shift_gcn import ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual, spatial_shift, temporal_shift
+from .shift_gcn import (
+    SPATIAL_SHIFT,
+    ShiftSGcnBlock,
+    ShiftTcnBlock,
+    UnitTcnResidual,
+    frame_shift,
+    spatial_shift,
+    temporal_shift,
+)
 from .ssm import IMambaBlock, selective_scan_parallel, selective_scan_sequential
 from .tensor import Tensor
 
@@ -74,6 +81,14 @@ def _leaf(rng, shape, positive: bool = False, margin: float = 0.0) -> Tensor:
     if margin:
         data = _away_from_zero(rng, shape, margin)
     return Tensor(data, requires_grad=True)
+
+
+def _widest_gap_midpoints(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values``, the midpoint of the widest gap between sorted entries."""
+    s = np.sort(values, axis=1)
+    i = np.argmax(np.diff(s, axis=1), axis=1)
+    rows = np.arange(s.shape[0])
+    return (s[rows, i] + s[rows, i + 1]) / 2
 
 
 def _projection(rng, shape) -> Tensor:
@@ -164,19 +179,24 @@ def suite_primitives():
     run("causal_conv1d", lambda: _project(T.causal_conv1d_depthwise(xc, wc, bc), pcc),
         {"x": xc, "w": wc, "b": bc})
 
-    bn = BatchNorm2d(3)
-    xbn = _leaf(rng, (2, 3, 2, 4))
-    pbn = _projection(rng, (2, 3, 2, 4))
-    run("batch_norm2d_train",
-        lambda: _project(T.batch_norm2d(xbn, bn.gamma, bn.beta, bn.running_mean,
-                                        bn.running_var, True), pbn),
-        {"x": xbn, "gamma": bn.gamma, "beta": bn.beta})
-    bn.running_mean[:] = rng.normal(size=3)
-    bn.running_var[:] = 0.5 + rng.random(3)
-    run("batch_norm2d_eval",
-        lambda: _project(T.batch_norm2d(xbn, bn.gamma, bn.beta, bn.running_mean,
-                                        bn.running_var, False), pbn),
-        {"x": xbn, "gamma": bn.gamma, "beta": bn.beta})
+    def conv_bn(training, shift, relu):
+        return lambda: _project(T.shift_conv_bn(xg, w, bias, gamma, beta, rm.copy(), rv.copy(),
+                                                training, shift, relu), pc)
+
+    gamma = Tensor(0.5 + rng.random(5), requires_grad=True)
+    beta = _leaf(rng, (5,))
+    rm, rv = np.zeros(5), np.ones(5)
+    # move each channel's ReLU threshold into the widest gap between its
+    # pre-activations, so no difference quotient straddles the kink
+    with T.no_grad():
+        pre = T.shift_conv_bn(xg, w, bias, gamma, beta, rm.copy(), rv.copy(), True, SPATIAL_SHIFT)
+    beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(5, -1))
+    leaves = {"x": xg, "w": w, "b": bias, "gamma": gamma, "beta": beta}
+    run("shift_conv_bn_train_relu", conv_bn(True, SPATIAL_SHIFT, True), leaves)
+    run("shift_conv_bn_train", conv_bn(True, frame_shift(1), False), leaves)
+    rm[:] = rng.normal(size=5)
+    rv[:] = 0.5 + rng.random(5)
+    run("shift_conv_bn_eval", conv_bn(False, None, False), leaves)
 
     xr = _leaf(rng, (2, 3, 4))
     gr = _leaf(rng, (4,))

@@ -171,6 +171,12 @@ class CausalConv1d(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch-norm state: the affine gain and shift plus the running statistics.
+
+    The normalization itself runs inside ``tensor.shift_conv_bn``, fused
+    with the conv that feeds it.
+    """
+
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
         self.gamma = Parameter(np.ones(channels))
@@ -179,10 +185,6 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels)
         self.momentum = momentum
         self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, self.training, self.momentum, self.eps)
 
 
 class RMSNorm(Module):

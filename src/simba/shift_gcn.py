@@ -6,9 +6,15 @@ the channel index (a pure permutation within every frame), the temporal
 shift slides channel groups along the frame axis with zero fill at the
 boundaries.  Both shifts are slice copies, one or two per class of
 channels that move alike, so they build no index arrays and cache nothing.
+
+Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
+batch-norm [-> ReLU], with the shift handed over as a (forward, adjoint)
+pair of the numpy helpers below.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -92,6 +98,22 @@ def temporal_shift(x: Tensor, radius: int) -> Tensor:
     return T._make(data, (x,), backward)
 
 
+SPATIAL_SHIFT = (partial(_rotate_vertices, inverse=False), partial(_rotate_vertices, inverse=True))
+
+
+def frame_shift(radius: int):
+    """The temporal shift's (forward, adjoint) pair at ``radius``; None at radius 0."""
+    if radius == 0:
+        return None
+    return (partial(_shift_frames, radius=radius, negate=False),
+            partial(_shift_frames, radius=radius, negate=True))
+
+
+def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu: bool = False) -> Tensor:
+    return T.shift_conv_bn(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                           bn.training, shift, relu, bn.momentum, bn.eps)
+
+
 class ShiftSGcnBlock(Module):
     """Spatial shift -> pointwise conv -> BN -> ReLU, mapping Cin to Cout."""
 
@@ -101,7 +123,7 @@ class ShiftSGcnBlock(Module):
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.relu(self.bn(self.conv(spatial_shift(x))))
+        return _unit(x, self.conv, self.bn, SPATIAL_SHIFT, relu=True)
 
 
 class ShiftTcnBlock(Module):
@@ -112,12 +134,14 @@ class ShiftTcnBlock(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator, radius: int = 1):
         super().__init__()
+        if radius < 0:
+            raise ShapeError(f"shift radius must be >= 0, got {radius}")
         self.conv = PointwiseConv2d(channels, channels, rng)
         self.bn = BatchNorm2d(channels)
         self.radius = radius
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(temporal_shift(x, self.radius)))
+        return _unit(x, self.conv, self.bn, frame_shift(self.radius))
 
 
 class UnitTcnResidual(Module):
@@ -129,4 +153,4 @@ class UnitTcnResidual(Module):
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x))
+        return _unit(x, self.conv, self.bn, None)

@@ -432,18 +432,32 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # structured ops
 # ---------------------------------------------------------------------------
 
+def _check_pointwise(x, w, b) -> None:
+    if x.ndim != 4 or w.ndim != 2:
+        raise ShapeError(f"pointwise conv expects x[N,C,T,V], w[Cout,Cin]; got {x.shape}, {w.shape}")
+    if w.shape[1] != x.shape[1]:
+        raise ShapeError(f"channel mismatch: x has {x.shape} but w has {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
+
+
+def _pointwise_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dW[o,i] = sum over n, k of g[n,o,k] * x[n,i,k] for g[N,Cout,K], x[N,Cin,K].
+
+    One GEMM over the flattened (n, k) axis.  A batched ``np.matmul`` per
+    sample is faster but rounds differently in float32, and the toy overfit
+    criterion's loss ordering is sensitive to that rounding.
+    """
+    return np.tensordot(g, x, axes=([0, 2], [0, 2]))
+
+
 def pointwise_conv2d(x, w, b) -> Tensor:
     """1x1 convolution over the channel axis of an [N, C, T, V] tensor.
 
     out[n,o,t,v] = b[o] + sum_i w[o,i] * x[n,i,t,v]
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 4 or w.ndim != 2:
-        raise ShapeError(f"pointwise_conv2d expects x[N,C,T,V], w[Cout,Cin]; got {x.shape}, {w.shape}")
-    if w.shape[1] != x.shape[1]:
-        raise ShapeError(f"channel mismatch: x has {x.shape} but w has {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
+    _check_pointwise(x, w, b)
     n, ci, t, v = x.shape
     co = w.shape[0]
     data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
@@ -454,7 +468,7 @@ def pointwise_conv2d(x, w, b) -> Tensor:
         if x.requires_grad:
             x._accumulate((w.data.T @ gm).reshape(x.shape))
         if w.requires_grad:
-            w._accumulate(np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3])))
+            w._accumulate(_pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -495,59 +509,77 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, training: bool,
-                 momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of x[N, C, T, V] over the (N, T, V) axes.
+def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: bool,
+                  shift=None, relu: bool = False, momentum: float = 0.1,
+                  eps: float = 1e-5) -> Tensor:
+    """shift -> 1x1 conv -> batch-norm [-> ReLU] on x[N, Cin, T, V], one graph node.
 
-    Train mode normalizes with batch statistics and updates the running
-    arrays in place (exponential moving average, unbiased variance).  Eval
-    mode normalizes with the running statistics.  One graph node; the
-    backward keeps only x̂ and the per-channel 1/sqrt(var + eps).
+    ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
+    input before the conv, or None.  Batch-norm normalizes each output
+    channel over the (N, T, V) axes: train mode uses the batch statistics
+    and updates the running arrays in place (exponential moving average,
+    unbiased variance); eval mode uses the running statistics.
+
+    The backward keeps x̂ (written over the conv output), the output and the
+    per-channel 1/sqrt(var + eps); it re-runs the shift for the weight
+    gradient instead of keeping the shifted input.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm2d expects x[N,C,T,V], got {x.shape}")
-    n, c, t, v = x.shape
-    axes = (0, 2, 3)
+    x, w, b, gamma, beta = (_as_tensor(a) for a in (x, w, b, gamma, beta))
+    _check_pointwise(x, w, b)
+    n, ci, t, v = x.shape
+    co = w.shape[0]
     count = n * t * v
+    if training and count < 2:
+        raise DomainError(f"batch-norm train mode needs >=2 elements per channel, got {count}")
+
+    def conv_input():
+        return (x.data if shift is None else shift[0](x.data)).reshape(n, ci, t * v)
+
+    xhat = np.matmul(w.data, conv_input())
+    xhat += b.data[:, None]
     if training:
-        if count < 2:
-            raise DomainError(f"batch_norm2d train mode needs >=2 elements per channel, got {count}")
-        mean = x.data.mean(axis=axes, keepdims=True)
-        xhat = x.data - mean
-        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        mean = xhat.mean(axis=(0, 2))
+        xhat -= mean[:, None]
+        var = (xhat * xhat).mean(axis=(0, 2))
         inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(c)
+        running_mean += momentum * mean
         running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(c) * count / (count - 1)
+        running_var += momentum * var * count / (count - 1)
     else:
-        rv = running_var.reshape(1, c, 1, 1).astype(x.dtype, copy=False)
-        inv = 1.0 / np.sqrt(rv + eps)
-        xhat = x.data - running_mean.reshape(1, c, 1, 1).astype(x.dtype, copy=False)
-        xhat *= inv
-    gain = gamma.data.reshape(1, c, 1, 1)
-    data = xhat * gain
-    data += beta.data.reshape(1, c, 1, 1)
+        inv = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + eps)
+        xhat -= running_mean.astype(x.dtype, copy=False)[:, None]
+    xhat *= inv[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward(g):
-        sum_g = g.sum(axis=axes)
-        sum_gx = np.einsum("nctv,nctv->c", g, xhat)
+        g = g.reshape(n, co, t * v)
+        if relu:
+            g = g * (out > 0)
+        sum_g = g.sum(axis=(0, 2))
+        sum_gx = np.einsum("nck,nck->c", g, xhat)
         if beta.requires_grad:
             beta._accumulate(sum_g)
         if gamma.requires_grad:
             gamma._accumulate(sum_gx)
+        if training:
+            gz = g - (sum_g / count)[:, None]
+            gz -= xhat * (sum_gx / count)[:, None]
+            gz *= (gamma.data * inv)[:, None]
+        else:
+            gz = g * (gamma.data * inv)[:, None]
+        if b.requires_grad:
+            b._accumulate(gz.sum(axis=(0, 2)))
+        if w.requires_grad:
+            w._accumulate(_pointwise_weight_grad(gz, conv_input()))
         if x.requires_grad:
-            if training:
-                gx = g - (sum_g / count).reshape(1, c, 1, 1)
-                gx -= xhat * (sum_gx / count).reshape(1, c, 1, 1)
-                gx *= gain * inv
-            else:
-                gx = g * (gain * inv)
-            x._accumulate(gx)
+            gx = np.matmul(w.data.T, gz).reshape(x.shape)
+            x._accumulate(gx if shift is None else shift[1](gx))
 
-    return _make(data, (x, gamma, beta), backward)
+    return _make(out.reshape(n, co, t, v), (x, w, b, gamma, beta), backward)
 
 
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:

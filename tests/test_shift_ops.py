@@ -275,8 +275,8 @@ def _op_nodes(out):
 
 
 @pytest.mark.parametrize("make,expected", [
-    (lambda rng: ShiftSGcnBlock(4, 6, rng), 4),  # shift, conv, bn, relu
-    (lambda rng: ShiftTcnBlock(4, rng), 3),  # shift, conv, bn
+    (lambda rng: ShiftSGcnBlock(4, 6, rng), 1),  # shift, conv, bn, relu fused
+    (lambda rng: ShiftTcnBlock(4, rng), 1),  # shift, conv, bn fused
 ], ids=["sgcn", "tcn"])
 def test_shift_blocks_record_one_node_per_op(make, expected):
     rng = np.random.default_rng(24)
@@ -285,3 +285,28 @@ def test_shift_blocks_record_one_node_per_op(make, expected):
     assert _op_nodes(block(x)) == expected
     with T.no_grad():
         assert _op_nodes(block(x)) == 0
+
+
+def test_shift_sgcn_node_keeps_no_shifted_input():
+    # the backward re-runs the shift instead of keeping the shifted copy in
+    # any layout; Cin != Cout keeps x̂ and the output apart by size
+    rng = np.random.default_rng(25)
+    block = ShiftSGcnBlock(4, 6, rng)
+    x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
+    out = block(x)
+    assert _op_nodes(out) == 1
+    params = (block.conv.w, block.conv.b, block.bn.gamma, block.bn.beta)
+    assert out._parents == (x, *params)
+    held = []
+    for cell in out._backward.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, Tensor) and value not in out._parents:
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value.shape)
+    assert held and all(np.prod(shape) != x.size for shape in held), held
+
+
+def test_shift_tcn_rejects_negative_radius():
+    with pytest.raises(ShapeError, match="radius"):
+        ShiftTcnBlock(4, np.random.default_rng(26), radius=-1)

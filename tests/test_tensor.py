@@ -5,6 +5,7 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, ShapeError, ValidationError
+from simba.shift_gcn import SPATIAL_SHIFT, frame_shift, spatial_shift, temporal_shift
 from simba.tensor import Tensor
 
 
@@ -50,19 +51,27 @@ def test_pointwise_conv2d_shape_error_names_both_shapes():
         T.pointwise_conv2d(x, w, Tensor(np.zeros(4)))
 
 
+def _bn(x, gamma, beta, running_mean, running_var, training, **kw):
+    """Batch-norm alone: the fused op with an identity conv, no shift and no ReLU."""
+    c = x.shape[1]
+    w = Tensor(np.eye(c), requires_grad=True, dtype=x.dtype)
+    b = Tensor(np.zeros(c), requires_grad=True, dtype=x.dtype)
+    return T.shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training, **kw)
+
+
 def test_batchnorm_eval_constant_input_is_zeroed():
     const = np.array([2.0, -1.0, 0.5])
     x = Tensor(np.broadcast_to(const[None, :, None, None], (2, 3, 4, 5)).copy())
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-    out = T.batch_norm2d(x, gamma, beta, const.copy(), np.ones(3), training=False, eps=0.0)
+    out = _bn(x, gamma, beta, const.copy(), np.ones(3), training=False, eps=0.0)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_batchnorm_train_normalizes_per_channel():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(2.0, 3.0, size=(4, 3, 5, 6)))
-    out = T.batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                         np.zeros(3), np.ones(3), training=True, eps=0.0)
+    out = _bn(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+              np.zeros(3), np.ones(3), training=True, eps=0.0)
     mean = out.data.mean(axis=(0, 2, 3))
     var = out.data.var(axis=(0, 2, 3))
     np.testing.assert_allclose(mean, 0.0, atol=1e-6)
@@ -72,26 +81,26 @@ def test_batchnorm_train_normalizes_per_channel():
 def test_batchnorm_affine_applies_after_normalization():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(2, 3, 4, 5)))
-    plain = T.batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                           np.zeros(3), np.ones(3), training=True)
-    scaled = T.batch_norm2d(x, Tensor(np.full(3, 2.0)), Tensor(np.full(3, 3.0)),
-                            np.zeros(3), np.ones(3), training=True)
+    plain = _bn(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                np.zeros(3), np.ones(3), training=True)
+    scaled = _bn(x, Tensor(np.full(3, 2.0)), Tensor(np.full(3, 3.0)),
+                 np.zeros(3), np.ones(3), training=True)
     np.testing.assert_allclose(scaled.data, 2.0 * plain.data + 3.0, atol=1e-12)
 
 
 def test_batchnorm_degenerate_batch_rejected():
     x = Tensor(np.zeros((1, 3, 1, 1)))
     with pytest.raises(DomainError):
-        T.batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                       np.zeros(3), np.ones(3), training=True)
+        _bn(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+            np.zeros(3), np.ones(3), training=True)
 
 
 def test_batchnorm_running_stats_update():
     rng = np.random.default_rng(5)
     x = rng.normal(1.5, 2.0, size=(4, 2, 3, 3))
     rm, rv = np.zeros(2), np.ones(2)
-    T.batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                   rm, rv, training=True, momentum=0.1)
+    _bn(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+        rm, rv, training=True, momentum=0.1)
     count = 4 * 3 * 3
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(
@@ -127,7 +136,7 @@ def test_batchnorm_fused_matches_composite_float64(training):
     rm0, rv0 = rng.normal(size=4), 0.5 + rng.random(4)
     weights = rng.normal(size=x0.shape)
     results = []
-    for op in (T.batch_norm2d, _batch_norm2d_composite):
+    for op in (_bn, _batch_norm2d_composite):
         x = Tensor(x0, requires_grad=True)
         gamma, beta = Tensor(g0, requires_grad=True), Tensor(b0, requires_grad=True)
         rm, rv = rm0.copy(), rv0.copy()
@@ -136,6 +145,48 @@ def test_batchnorm_fused_matches_composite_float64(training):
         results.append((out.data, x.grad, gamma.grad, beta.grad, rm, rv))
     for name, fused, composite in zip(("out", "dx", "dgamma", "dbeta", "running_mean",
                                        "running_var"), *results):
+        assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+def _shift_conv_bn_composite(x, w, b, gamma, beta, running_mean, running_var, training,
+                             shift, relu):
+    """The unit as the blocks built it before fusion: one node per step."""
+    out = T.pointwise_conv2d(shift(x) if shift else x, w, b)
+    out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
+    return T.relu(out) if relu else out
+
+
+UNITS = {
+    "spatial_relu": (SPATIAL_SHIFT, spatial_shift, True),
+    "temporal_r1": (frame_shift(1), lambda t: temporal_shift(t, 1), False),
+    "temporal_r2": (frame_shift(2), lambda t: temporal_shift(t, 2), False),
+    "no_shift": (None, None, False),
+}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("unit", sorted(UNITS))
+def test_shift_conv_bn_matches_composite_float64(unit, training):
+    pair, tensor_shift, relu = UNITS[unit]
+    rng = np.random.default_rng(15)
+    n, ci, co, t, v = 2, 7, 5, 6, 4
+    x0 = rng.normal(0.3, 1.4, size=(n, ci, t, v))
+    w0, b0 = rng.normal(size=(co, ci)), rng.normal(size=co)
+    g0, beta0 = rng.normal(size=co), rng.normal(size=co)
+    rm0, rv0 = rng.normal(size=co), 0.5 + rng.random(co)
+    weights = rng.normal(size=(n, co, t, v))
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, w0, b0, g0, beta0)]
+        rm, rv = rm0.copy(), rv0.copy()
+        if fused:
+            out = T.shift_conv_bn(*leaves, rm, rv, training, pair, relu)
+        else:
+            out = _shift_conv_bn_composite(*leaves, rm, rv, training, tensor_shift, relu)
+        (out * weights).sum().backward()
+        results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
+    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running_mean", "running_var")
+    for name, fused, composite in zip(names, *results):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
 
 

@@ -44,6 +44,8 @@ def test_config_validation():
         TrainConfig(precision="float16")
     with pytest.raises(ConfigError):
         TrainConfig(scan_chunk=-1)
+    with pytest.raises(ConfigError, match="temporal_shift_radius"):
+        TrainConfig(temporal_shift_radius=-1)
     for name in ("batch_size_train", "batch_size_eval", "window_T", "mamba_D", "ssm_W",
                  "conv_kernel", "repeat_augmentation"):
         with pytest.raises(ConfigError, match=name):
