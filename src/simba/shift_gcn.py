@@ -9,7 +9,9 @@ channels that move alike, so they build no index arrays and cache nothing.
 
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
 batch-norm [-> ReLU], with the shift handed over as a (forward, adjoint)
-pair of the numpy helpers below.
+pair of the numpy helpers below.  In eval mode the node folds batch-norm
+into the conv, one GEMM plus a bias [plus ReLU], and its backward
+recomputes x̂ only for the γ gradient.
 """
 
 from __future__ import annotations

@@ -322,12 +322,14 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) below; exp never overflows.
+
+    exp(-|x|) is exactly exp(x) for x < 0, so one exp over the whole array
+    serves both branches.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def silu(a) -> Tensor:
@@ -520,9 +522,14 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
     and updates the running arrays in place (exponential moving average,
     unbiased variance); eval mode uses the running statistics.
 
-    The backward keeps x̂ (written over the conv output), the output and the
-    per-channel 1/sqrt(var + eps); it re-runs the shift for the weight
-    gradient instead of keeping the shifted input.
+    Train mode keeps x̂ (written over the conv output), the output and the
+    per-channel 1/sqrt(var + eps) for the backward.  Eval mode is an affine
+    map, so it folds batch-norm into the conv (Jacob et al. 2018, §3.2):
+    with scale = γ/sqrt(var + eps) it runs one GEMM with W·scale, one bias
+    pass of (b - mean)·scale + β and the ReLU in place, and builds no x̂.
+    Its backward recomputes x̂ = (W·shift(x) + b - mean)/sqrt(var + eps)
+    only when γ needs a gradient, and never divides by γ.  Both modes re-run
+    the shift for the weight gradient instead of keeping the shifted input.
     """
     x, w, b, gamma, beta = (_as_tensor(a) for a in (x, w, b, gamma, beta))
     _check_pointwise(x, w, b)
@@ -535,9 +542,9 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
     def conv_input():
         return (x.data if shift is None else shift[0](x.data)).reshape(n, ci, t * v)
 
-    xhat = np.matmul(w.data, conv_input())
-    xhat += b.data[:, None]
     if training:
+        xhat = np.matmul(w.data, conv_input())
+        xhat += b.data[:, None]
         mean = xhat.mean(axis=(0, 2))
         xhat -= mean[:, None]
         var = (xhat * xhat).mean(axis=(0, 2))
@@ -546,12 +553,16 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var * count / (count - 1)
+        xhat *= inv[:, None]
+        out = xhat * gamma.data[:, None]
+        out += beta.data[:, None]
     else:
+        mean = running_mean.astype(x.dtype, copy=False)
         inv = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + eps)
-        xhat -= running_mean.astype(x.dtype, copy=False)[:, None]
-    xhat *= inv[:, None]
-    out = xhat * gamma.data[:, None]
-    out += beta.data[:, None]
+        scale = gamma.data * inv
+        out = np.matmul(w.data * scale[:, None], conv_input())
+        out += ((b.data - mean) * scale + beta.data)[:, None]
+        xhat = None
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -560,16 +571,21 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         if relu:
             g = g * (out > 0)
         sum_g = g.sum(axis=(0, 2))
-        sum_gx = np.einsum("nck,nck->c", g, xhat)
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        if gamma.requires_grad:
-            gamma._accumulate(sum_gx)
         if training:
+            sum_gx = np.einsum("nck,nck->c", g, xhat)
+            if gamma.requires_grad:
+                gamma._accumulate(sum_gx)
             gz = g - (sum_g / count)[:, None]
             gz -= xhat * (sum_gx / count)[:, None]
             gz *= (gamma.data * inv)[:, None]
         else:
+            if gamma.requires_grad:  # x̂ is recomputed, not kept
+                z = np.matmul(w.data, conv_input())
+                z += (b.data - mean)[:, None]
+                z *= inv[:, None]
+                gamma._accumulate(np.einsum("nck,nck->c", g, z))
             gz = g * (gamma.data * inv)[:, None]
         if b.requires_grad:
             b._accumulate(gz.sum(axis=(0, 2)))

@@ -287,6 +287,18 @@ def test_shift_blocks_record_one_node_per_op(make, expected):
         assert _op_nodes(block(x)) == 0
 
 
+def _held_arrays(out):
+    """Every array the node's backward closure holds, parents' data excluded."""
+    held = []
+    for cell in out._backward.__closure__ or ():
+        value = cell.cell_contents  # raises on a cell left unbound by either branch
+        if isinstance(value, Tensor) and value not in out._parents:
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value)
+    return held
+
+
 def test_shift_sgcn_node_keeps_no_shifted_input():
     # the backward re-runs the shift instead of keeping the shifted copy in
     # any layout; Cin != Cout keeps x̂ and the output apart by size
@@ -297,14 +309,39 @@ def test_shift_sgcn_node_keeps_no_shifted_input():
     assert _op_nodes(out) == 1
     params = (block.conv.w, block.conv.b, block.bn.gamma, block.bn.beta)
     assert out._parents == (x, *params)
-    held = []
-    for cell in out._backward.__closure__ or ():
-        value = cell.cell_contents
-        if isinstance(value, Tensor) and value not in out._parents:
-            value = value.data
-        if isinstance(value, np.ndarray):
-            held.append(value.shape)
+    held = [a.shape for a in _held_arrays(out)]
     assert held and all(np.prod(shape) != x.size for shape in held), held
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_shift_sgcn_node_keeps_xhat_only_in_train_mode(training):
+    # eval mode folds batch-norm into the conv, so besides the output buffer
+    # itself (which the returned tensor owns) it holds nothing of the
+    # output's size; train mode keeps x̂, which shows the walk can see it
+    rng = np.random.default_rng(27)
+    block = ShiftSGcnBlock(4, 6, rng)
+    block.bn.running_mean[:] = rng.normal(size=6)
+    block.bn.running_var[:] = 0.5 + rng.random(6)
+    block.train(training)
+    x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
+    out = block(x)
+    assert _op_nodes(out) == 1
+    extra = [a for a in _held_arrays(out) if a.size == out.size and not np.shares_memory(a, out.data)]
+    assert len(extra) == (1 if training else 0), [a.shape for a in extra]
+
+
+def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():
+    rng = np.random.default_rng(28)
+    block = ShiftTcnBlock(6, rng)
+    block.bn.running_mean[:] = rng.normal(size=6)
+    block.bn.running_var[:] = 0.5 + rng.random(6)
+    block.eval()
+    before = (block.bn.running_mean.tobytes(), block.bn.running_var.tobytes())
+    x = Tensor(rng.normal(size=(2, 6, 5, 3)), requires_grad=True)
+    with T.no_grad():
+        out = block(x)
+    assert out._backward is None and out._parents == () and not out.requires_grad
+    assert (block.bn.running_mean.tobytes(), block.bn.running_var.tobytes()) == before
 
 
 def test_shift_tcn_rejects_negative_radius():

@@ -173,6 +173,7 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     x0 = rng.normal(0.3, 1.4, size=(n, ci, t, v))
     w0, b0 = rng.normal(size=(co, ci)), rng.normal(size=co)
     g0, beta0 = rng.normal(size=co), rng.normal(size=co)
+    g0[1] = 0.0  # the eval backward recomputes x̂ for dγ rather than dividing by γ
     rm0, rv0 = rng.normal(size=co), 0.5 + rng.random(co)
     weights = rng.normal(size=(n, co, t, v))
     results = []
@@ -188,6 +189,53 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running_mean", "running_var")
     for name, fused, composite in zip(names, *results):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("unit", ["spatial_relu", "temporal_r1"])
+def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
+    # the folded GEMM rounds W·scale once more than conv-then-normalize does;
+    # at the ntu60 width and realistic running stats that stays within a few
+    # float32 ulps of the output's range
+    pair, _, relu = UNITS[unit]
+    rng = np.random.default_rng(16)
+    n, ci, co, t, v = 2, 216, 108, 16, 25
+    x0 = rng.normal(0.2, 1.0, size=(n, ci, t, v))
+    w0 = rng.normal(0.0, np.sqrt(2.0 / ci), size=(co, ci))
+    b0 = rng.normal(0.0, 0.05, size=co)
+    conv = np.matmul(w0, (pair[0](x0) if pair else x0).reshape(n, ci, t * v)) + b0[:, None]
+    rm0 = conv.mean(axis=(0, 2)) + rng.normal(0.0, 0.05, size=co)
+    rv0 = conv.var(axis=(0, 2)) * rng.uniform(0.8, 1.25, size=co)
+    g0, beta0 = rng.normal(1.0, 0.2, size=co), rng.normal(0.0, 0.2, size=co)
+    ref = (conv - rm0[:, None]) / np.sqrt(rv0[:, None] + 1e-5) * g0[:, None] + beta0[:, None]
+    ref = (np.maximum(ref, 0.0) if relu else ref).reshape(n, co, t, v)
+    leaves = [Tensor(a, dtype=np.float32) for a in (x0, w0, b0, g0, beta0)]
+    rm, rv = rm0.astype(np.float32), rv0.astype(np.float32)
+    out = T.shift_conv_bn(*leaves, rm, rv, False, pair, relu).data
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def _sigmoid_masked(x):
+    """The stable sigmoid as it was built with boolean-mask indexing."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_stable_equals_masked_formula_bit_for_bit(dtype, bits):
+    grid = [0.0, 1e-30, 1.0, 20.0, 88.7, 1e4, np.inf]
+    values = np.array(grid + [-g for g in grid] + [np.nan], dtype=dtype)
+    values = np.concatenate([values, np.random.default_rng(17).normal(0.0, 30.0, 999).astype(dtype)])
+    with np.errstate(over="raise"):
+        new, old = T._sigmoid_stable(values), _sigmoid_masked(values)
+    assert new.dtype == dtype
+    nan = np.isnan(values)
+    assert np.isnan(new[nan]).all() and np.isnan(old[nan]).all()  # NaN sign bits may differ
+    assert np.array_equal(new[~nan].view(bits), old[~nan].view(bits))
 
 
 def test_full_reduction_data_is_a_0d_array():
