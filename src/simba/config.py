@@ -37,7 +37,7 @@ class TrainConfig:
     temporal_shift_radius: int = 1
     conv_kernel: int = 4
     norm_placement: str = "post"
-    scan_chunk: int = 16  # 0 or 1 runs the sequential scan; must be >= 0
+    scan_chunk: int = 0  # 0, 1 or >= window_T streams the sequential scan; else chunk length
     # run
     seed: int = 1
     precision: str = "float32"

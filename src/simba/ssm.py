@@ -16,18 +16,22 @@ node that discretizes, scans and reads out.  Its inputs are at most
 [N, T, Dp] in size; the [N, T, Dp, W] coefficients and states are
 recomputed in backward instead of stored, as in Mamba's fused kernel.
 The adjoint of a linear recurrence is the same recurrence run backwards in
-time, and its result is chained through the ZOH by hand.  Forward and
-adjoint share one scan strategy, picked by the chunk size:
+time, and its result is chained through the ZOH by hand.  The chunk size
+picks the path:
 
-* sequential — one numpy step per timestep (the reference);
+* sequential (chunk None or covering T) — streamed: the forward
+  discretizes, steps and reads out one [N, Dp, W] time slice at a time and
+  builds no [N, T, Dp, W] array; the backward recomputes the states into
+  one such array and runs the adjoint in reverse time in place;
 * chunked — the sequence is cut into chunks whose local recurrences are
   advanced together as one vectorized numpy step per position, and the
   carried states are stitched across chunk boundaries with one short
-  sequential pass.  A chunk covering the whole sequence runs the
-  sequential loop, so it matches the reference bit-for-bit.
+  sequential pass.  This path still materializes the coefficients, the
+  states and, in backward, the flipped adjoint inputs.
 
-``zoh_discretize`` is the numpy discretization the op runs, exposed for
-the oracles.
+``zoh_discretize`` and ``_scan_states_sequential`` are the whole-array
+discretization and scan, kept for the oracles, the chunked path and
+``simba bench-scan``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,32 @@ def _zoh(a_cont: np.ndarray, delta: np.ndarray):
     return a_bar, q
 
 
+def _describe(values: np.ndarray, pick, what: str, axes: str) -> str:
+    """'<what> <value> at (<axes>) = <index>' for the entry ``pick`` selects."""
+    idx = tuple(int(i) for i in np.unravel_index(pick(values), values.shape))
+    return f"{what} {float(values[idx]):.6g} at ({axes}) = {idx}"
+
+
+def _check_scan_inputs(a_cont: np.ndarray, b_t: np.ndarray, delta: np.ndarray, c_t=None, y=None) -> None:
+    """The ShapeError and DomainError checks of ``zoh_discretize`` and the scan op.
+
+    A DomainError names the offending entry: the smallest step size and its
+    (n, t, d), or the largest continuous coefficient and its (d, w).
+    """
+    n, t, dp = delta.shape
+    w = a_cont.shape[-1]
+    if y is not None and (y.shape != (n, t, dp) or c_t.shape != (n, t, w)):
+        raise ShapeError(f"inconsistent scan inputs: delta {delta.shape}, c {c_t.shape}, y {y.shape}")
+    if np.any(a_cont >= 0.0):
+        raise DomainError("continuous state coefficients must be strictly negative; "
+                          + _describe(a_cont, np.nanargmax, "largest A entry", "d, w"))
+    if np.any(delta <= 0.0):
+        raise DomainError("step sizes must be strictly positive; "
+                          + _describe(delta, np.nanargmin, "smallest delta", "n, t, d"))
+    if a_cont.shape != (dp, w) or b_t.shape != (n, t, w):
+        raise ShapeError(f"inconsistent zoh shapes: A {a_cont.shape}, B {b_t.shape}, delta {delta.shape}")
+
+
 def zoh_discretize(a_cont: np.ndarray, b_t: np.ndarray, delta: np.ndarray):
     """Discretize a diagonal continuous system over per-step sizes.
 
@@ -66,14 +96,7 @@ def zoh_discretize(a_cont: np.ndarray, b_t: np.ndarray, delta: np.ndarray):
     ``expm1`` keeps b_bar accurate when delta*A is tiny, where exp(x)-1
     cancels.
     """
-    if np.any(a_cont >= 0.0):
-        raise DomainError("continuous state coefficients must be strictly negative")
-    if np.any(delta <= 0.0):
-        raise DomainError("step sizes must be strictly positive")
-    n, t, dp = delta.shape
-    w = a_cont.shape[-1]
-    if a_cont.shape != (dp, w) or b_t.shape != (n, t, w):
-        raise ShapeError(f"inconsistent zoh shapes: A {a_cont.shape}, B {b_t.shape}, delta {delta.shape}")
+    _check_scan_inputs(a_cont, b_t, delta)
     a_bar, b_bar = _zoh(a_cont, delta)
     b_bar *= b_t[:, :, None, :]
     return a_bar, b_bar
@@ -169,18 +192,98 @@ def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
 # the recorded scan op
 # ---------------------------------------------------------------------------
 
-def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
-    """One graph node: ZOH discretization, the scan and the readout.
+def _stream_states(a_cont: np.ndarray, b: np.ndarray, y: np.ndarray, delta: np.ndarray):
+    """Yield the states h_0..h_{T-1}, one [N, Dp, W] array updated in place.
 
-    delta [N, T, Dp], a_cont [Dp, W], b and c [N, T, W], y [N, T, Dp].
-    Nothing of shape [N, T, Dp, W] outlives the forward: the backward
-    recomputes a_bar, b_bar and the states from the inputs.
+    Each step discretizes one slice and applies h = a_t*h + b_bar_t*y_t with
+    the same element-wise ops, in the same order, as ``zoh_discretize``
+    followed by ``_scan_states_sequential``.
     """
     n, t, dp = delta.shape
-    w = a_cont.shape[-1]
-    if y.shape != (n, t, dp) or c.shape != (n, t, w):
-        raise ShapeError(f"inconsistent scan inputs: delta {delta.shape}, c {c.shape}, y {y.shape}")
-    a_bar, b_bar = zoh_discretize(a_cont.data, b.data, delta.data)
+    h = np.zeros((n, dp, a_cont.shape[-1]), dtype=np.result_type(a_cont, b, y, delta))
+    for i in range(t):
+        a_t, inj = _zoh(a_cont, delta[:, i])
+        inj *= b[:, i, None, :]
+        inj *= y[:, i, :, None]
+        h *= a_t
+        h += inj
+        yield h
+
+
+def _selective_scan_streamed(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor):
+    """Forward output and backward of the sequential op, one time slice at a time.
+
+    The forward keeps no [N, T, Dp, W] array.  The backward recomputes the
+    states into one such array and runs the adjoint in reverse time in place,
+    lam_t = a_{t+1}*lam_{t+1} + g_t*c_t, writing the delta, y and B gradients
+    slice by slice.  The C and A gradients reduce over n and t with the
+    einsums of the chunked op, over the states and, for A, over gu (written
+    over the states once they are consumed) and gb*b_bar.
+    """
+    n, t, dp = delta.shape
+    dtype = np.result_type(a_cont.data, b.data, y.data, delta.data)
+    out = np.empty((n, t, dp), dtype=dtype)
+    for i, h in enumerate(_stream_states(a_cont.data, b.data, y.data, delta.data)):
+        out[:, i] = np.einsum("nw,ndw->nd", c.data[:, i], h)
+
+    def backward(g):
+        a, dl, bd, yd = a_cont.data, delta.data, b.data, y.data
+        hs = np.empty((n, t, dp, a.shape[-1]), dtype=dtype)
+        for i, h in enumerate(_stream_states(a, bd, yd, dl)):
+            hs[:, i] = h
+        if c.requires_grad:
+            c._accumulate(np.einsum("ntd,ntdw->ntw", g, hs))
+        grad_y = np.empty((n, t, dp), dtype=dtype) if y.requires_grad else None
+        grad_b = np.empty((n, t, bd.shape[-1]), dtype=dtype) if b.requires_grad else None
+        grad_delta = np.empty((n, t, dp), dtype=dtype) if delta.requires_grad else None
+        gbb = np.empty_like(hs) if a_cont.requires_grad else None
+        lam = np.zeros_like(hs[:, 0])
+        a_next = None
+        for i in range(t - 1, -1, -1):
+            if a_next is not None:
+                lam *= a_next
+            lam += g[:, i, :, None] * c.data[:, i, None, :]
+            a_t, q = _zoh(a, dl[:, i])
+            b_bar = q * bd[:, i, None, :]
+            if grad_y is not None:
+                grad_y[:, i] = np.einsum("ndw,ndw->nd", lam, b_bar)
+            # ga = lam*h_{t-1} and gb = lam*y are the gradients of a_bar and
+            # b_bar; chain them through the ZOH with d a_bar/d delta = A*a_bar,
+            # d q/d delta = a_bar and d q/d A = (delta*a_bar - q)/A, where
+            # b_bar = q*B.  gu = (ga + gb*B/A)*a_bar collects the common factor.
+            gb = lam * yd[:, i, :, None]
+            if grad_b is not None:
+                grad_b[:, i] = np.einsum("ndw,ndw->nw", gb, q)
+            if grad_delta is not None or gbb is not None:
+                gu = gb * bd[:, i, None, :]
+                gu /= a
+                if i:  # ga_0 = 0, as h_{-1} = 0
+                    gu += lam * hs[:, i - 1]
+                gu *= a_t
+                if grad_delta is not None:
+                    grad_delta[:, i] = np.einsum("ndw,dw->nd", gu, a)
+                if gbb is not None:
+                    hs[:, i] = gu  # h_t was last read at step t + 1
+                    np.multiply(gb, b_bar, out=gbb[:, i])
+            a_next = a_t
+        if grad_y is not None:
+            y._accumulate(grad_y)
+        if grad_b is not None:
+            b._accumulate(grad_b)
+        if grad_delta is not None:
+            delta._accumulate(grad_delta)
+        if gbb is not None:
+            grad_a = np.einsum("ntdw,ntd->dw", hs, dl)
+            grad_a -= np.einsum("ntdw->dw", gbb) / a
+            a_cont._accumulate(grad_a)
+
+    return out, backward
+
+
+def _selective_scan_chunked(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk: int):
+    """Forward output and backward of the chunked op, over whole [N, T, Dp, W] arrays."""
+    a_bar, b_bar = _zoh(a_cont.data, delta.data)
+    b_bar *= b.data[:, :, None, :]
     b_bar *= y.data[..., None]  # now the state injection b_bar*y
     out = np.einsum("ntw,ntdw->ntd", c.data, _scan_states(a_bar, b_bar, chunk))
 
@@ -200,10 +303,7 @@ def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tens
             c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
         if y.requires_grad:
             y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar))
-        # ga = lam*h_{t-1} and gb = lam*y are the gradients of a_bar and
-        # b_bar; chain them through the ZOH with d a_bar/d delta = A*a_bar,
-        # d q/d delta = a_bar and d q/d A = (delta*a_bar - q)/A, where
-        # b_bar = q*B.  gu = (ga + gb*B/A)*a_bar collects the common factor.
+        # the ZOH chain rule of the streamed backward, over whole arrays
         ga = np.zeros_like(lam)
         np.multiply(lam[:, 1:], h[:, :-1], out=ga[:, 1:])
         gb = lam * y.data[..., None]
@@ -220,6 +320,23 @@ def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tens
             grad_a -= np.einsum("ntdw,ntdw->dw", gb, b_bar) / a
             a_cont._accumulate(grad_a)
 
+    return out, backward
+
+
+def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
+    """One graph node: ZOH discretization, the scan and the readout.
+
+    delta [N, T, Dp], a_cont [Dp, W], b and c [N, T, W], y [N, T, Dp].
+    Nothing of shape [N, T, Dp, W] outlives the forward: the backward
+    recomputes a_bar, b_bar and the states from the inputs.  ``chunk`` None
+    or covering T runs the streamed sequential op, anything shorter the
+    chunked one.
+    """
+    _check_scan_inputs(a_cont.data, b.data, delta.data, c.data, y.data)
+    if chunk is None or chunk >= delta.shape[1]:
+        out, backward = _selective_scan_streamed(delta, a_cont, b, c, y)
+    else:
+        out, backward = _selective_scan_chunked(delta, a_cont, b, c, y, chunk)
     return T._make(out, (delta, a_cont, b, c, y), backward)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -61,6 +63,48 @@ def _selective_scan_composite(delta, a_cont, b, c, y, chunk=None):
     return _scan_composite(a_bar, b_bar, c, y, chunk)
 
 
+def _selective_scan_materialized(delta, a_cont, b, c, y):
+    """The full-array sequential op the streamed one replaced.
+
+    It builds a_bar, b_bar and the states as [N, T, Dp, W] arrays, and its
+    backward runs the adjoint over flipped copies.
+    """
+    a_bar, b_bar = zoh_discretize(a_cont.data, b.data, delta.data)
+    b_bar *= y.data[..., None]
+    out = np.einsum("ntw,ntdw->ntd", c.data, ssm._scan_states(a_bar, b_bar, None))
+
+    def backward(g):
+        a = a_cont.data
+        a_bar, q = ssm._zoh(a, delta.data)
+        b_bar = q * b.data[:, :, None, :]
+        h = ssm._scan_states(a_bar, b_bar * y.data[..., None], None)
+        direct = g[..., None] * c.data[:, :, None, :]
+        a_rev = np.flip(a_bar, axis=1)
+        coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
+        lam = np.flip(ssm._scan_states(coeff, np.flip(direct, axis=1), None), axis=1)
+        if c.requires_grad:
+            c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
+        if y.requires_grad:
+            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar))
+        ga = np.zeros_like(lam)
+        np.multiply(lam[:, 1:], h[:, :-1], out=ga[:, 1:])
+        gb = lam * y.data[..., None]
+        if b.requires_grad:
+            b._accumulate(np.einsum("ntdw,ntdw->ntw", gb, q))
+        gu = gb * b.data[:, :, None, :]
+        gu /= a
+        gu += ga
+        gu *= a_bar
+        if delta.requires_grad:
+            delta._accumulate(np.einsum("ntdw,dw->ntd", gu, a))
+        if a_cont.requires_grad:
+            grad_a = np.einsum("ntdw,ntd->dw", gu, delta.data)
+            grad_a -= np.einsum("ntdw,ntdw->dw", gb, b_bar) / a
+            a_cont._accumulate(grad_a)
+
+    return T._make(out, (delta, a_cont, b, c, y), backward)
+
+
 # ---------------------------------------------------------------------------
 # zero-order hold
 # ---------------------------------------------------------------------------
@@ -115,6 +159,20 @@ def test_zoh_rejects_invalid_domain():
         zoh_discretize(np.full((1, 1), 0.5), good_b, np.ones((1, 1, 1)))
     with pytest.raises(ShapeError):
         zoh_discretize(np.full((2, 1), -1.0), good_b, np.ones((1, 1, 1)))
+
+
+def test_scan_domain_errors_name_the_entry():
+    rng = np.random.default_rng(15)
+    delta, a, b, c, y = _random_scan_inputs(rng, 2, 4, 3, 2)
+    delta.data[1, 2, 0] = -0.5
+    with pytest.raises(DomainError, match=r"smallest delta -0\.5 at \(n, t, d\) = \(1, 2, 0\)"):
+        selective_scan_sequential(delta, a, b, c, y)
+    delta.data[1, 2, 0] = 0.1
+    a.data[1, 0] = 0.25
+    with pytest.raises(DomainError, match=r"largest A entry 0\.25 at \(d, w\) = \(1, 0\)"):
+        selective_scan_parallel(delta, a, b, c, y, 2)
+    with pytest.raises(DomainError, match=r"^continuous state coefficients must be strictly negative"):
+        zoh_discretize(a.data, b.data, delta.data)
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +244,78 @@ def test_fused_scan_matches_composite_float64(chunk):
         assert np.max(np.abs(got - ref)) <= 1e-12, name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 64, 500, 16), (3, 13, 7, 4)], ids=["ntu60", "ragged"])
+@pytest.mark.parametrize("trained", ["all", "y_delta"])
+def test_streamed_scan_bit_identical_to_materialized(dtype, shape, trained):
+    rng = np.random.default_rng(33)
+    data = [leaf.data.astype(dtype) for leaf in _random_scan_inputs(rng, *shape)]
+    g = rng.normal(size=shape[:3]).astype(dtype)
+    results = []
+    for op in (selective_scan_sequential, _selective_scan_materialized):
+        leaves = [Tensor(d.copy(), requires_grad=trained == "all" or k in (0, 4))
+                  for k, d in enumerate(data)]
+        out = op(*leaves)
+        out._backward(g)
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for name, got, ref in zip(("out", "delta", "A", "B", "C", "y"), *results):
+        if ref is None:
+            assert got is None, name
+        else:
+            assert got.dtype == dtype, name
+            assert np.array_equal(got, ref), name
+
+
+def _scan_peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ntu60_scan_leaves():
+    rng = np.random.default_rng(34)
+    return [Tensor(leaf.data.astype(np.float32), requires_grad=True)
+            for leaf in _random_scan_inputs(rng, 2, 64, 500, 16)]
+
+
+STATE_ARRAY_BYTES = 2 * 64 * 500 * 16 * 4  # one [N, T, Dp, W] float32 array, 3.9 MiB
+
+
+def test_streamed_scan_forward_keeps_no_state_sized_array():
+    leaves = _ntu60_scan_leaves()
+    with T.no_grad():
+        peak = _scan_peak_bytes(lambda: selective_scan_sequential(*leaves))
+    assert peak < STATE_ARRAY_BYTES, peak
+
+
+def test_streamed_scan_backward_peak_bounded():
+    leaves = _ntu60_scan_leaves()
+    out = selective_scan_sequential(*leaves)
+    g = np.ones(out.shape, dtype=np.float32)
+    peak = _scan_peak_bytes(lambda: out._backward(g))
+    assert peak <= 5 * STATE_ARRAY_BYTES, peak
+
+
 def test_scan_node_keeps_no_state_sized_arrays():
-    # the backward recomputes every [N, T, Dp, W] array from the inputs
+    # the backward recomputes every [N, T, Dp, W] array from the inputs, on
+    # the streamed sequential path and on the chunked one
     rng = np.random.default_rng(32)
     leaves = _random_scan_inputs(rng, 2, 8, 3, 4)
     for leaf in leaves:
         leaf.requires_grad = True
-    out = selective_scan_parallel(*leaves, 3)
-    assert out._parents == leaves
-    held = []
-    for cell in out._backward.__closure__ or ():
-        value = cell.cell_contents
-        if isinstance(value, Tensor):
-            value = value.data
-        if isinstance(value, np.ndarray):
-            held.append(value.ndim)
-    assert held and max(held) < 4, held
+    for out in (selective_scan_sequential(*leaves), selective_scan_parallel(*leaves, 3)):
+        assert out._parents == leaves
+        held = []
+        for cell in out._backward.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, Tensor):
+                value = value.data
+            if isinstance(value, np.ndarray):
+                held.append(value.ndim)
+        assert held and max(held) < 4, held
 
 
 def test_parallel_chunk_covering_t_is_bit_identical():
