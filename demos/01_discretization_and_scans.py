@@ -75,7 +75,7 @@ print("\n=== gradients flow through the scan ===")
 # the states, and returns the gradients of all five inputs.
 leaves = [Tensor(x.data, requires_grad=True) for x in args]
 out = selective_scan_sequential(*leaves)
-out.sum().backward()
 print("graph parents of the scan output:", len(out._parents))
+out.sum().backward()  # consumes the graph; the leaves keep their grads
 for name, leaf in zip(("delta", "A", "B", "C", "y"), leaves):
     print(f"d loss / d {name:<5} has shape {leaf.grad.shape}")

@@ -2,15 +2,27 @@
 state-space core, built on a small numpy autodiff engine.
 
 SIMBA_THREADS caps BLAS worker threads; it must take effect before numpy
-loads, hence the env propagation at the top of this module.
+loads, hence the env propagation at the top of this module.  On glibc the
+import also sets the process's malloc mmap and trim thresholds (below).
 """
 
+import ctypes as _ctypes
 import os as _os
 
 _threads = _os.environ.get("SIMBA_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
+
+# keep freed arrays in glibc's heap: M_MMAP_THRESHOLD (-3) 32 MiB, its maximum; M_TRIM_THRESHOLD (-1) 1 GiB
+try:
+    _mallopt = _ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+    _mallopt = None
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = (_ctypes.c_int, _ctypes.c_int), _ctypes.c_int
+    _mallopt(-3, 32 << 20)
+    _mallopt(-1, 1 << 30)
 
 from .config import PRESETS, TrainConfig  # noqa: E402
 from .data import (  # noqa: E402

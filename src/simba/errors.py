@@ -27,3 +27,7 @@ class ValidationError(SimbaError, ValueError):
 
 class TrainingAbort(SimbaError, RuntimeError):
     """Training stopped because of a non-finite loss or gradient."""
+
+
+class GraphConsumedError(SimbaError, RuntimeError):
+    """backward() reached a graph that an earlier backward() has consumed."""

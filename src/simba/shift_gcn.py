@@ -50,7 +50,7 @@ def spatial_shift(x: Tensor, inverse: bool = False) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_rotate_vertices(g, not inverse))
+            x._accumulate(_rotate_vertices(g, not inverse), owned=True)
 
     return T._make(data, (x,), backward)
 
@@ -95,7 +95,7 @@ def temporal_shift(x: Tensor, radius: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_shift_frames(g, radius, negate=True))
+            x._accumulate(_shift_frames(g, radius, negate=True), owned=True)
 
     return T._make(data, (x,), backward)
 

@@ -232,7 +232,7 @@ def _selective_scan_streamed(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor
         for i, h in enumerate(_stream_states(a, bd, yd, dl)):
             hs[:, i] = h
         if c.requires_grad:
-            c._accumulate(np.einsum("ntd,ntdw->ntw", g, hs))
+            c._accumulate(np.einsum("ntd,ntdw->ntw", g, hs), owned=True)
         grad_y = np.empty((n, t, dp), dtype=dtype) if y.requires_grad else None
         grad_b = np.empty((n, t, bd.shape[-1]), dtype=dtype) if b.requires_grad else None
         grad_delta = np.empty((n, t, dp), dtype=dtype) if delta.requires_grad else None
@@ -267,15 +267,15 @@ def _selective_scan_streamed(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor
                     np.multiply(gb, b_bar, out=gbb[:, i])
             a_next = a_t
         if grad_y is not None:
-            y._accumulate(grad_y)
+            y._accumulate(grad_y, owned=True)
         if grad_b is not None:
-            b._accumulate(grad_b)
+            b._accumulate(grad_b, owned=True)
         if grad_delta is not None:
-            delta._accumulate(grad_delta)
+            delta._accumulate(grad_delta, owned=True)
         if gbb is not None:
             grad_a = np.einsum("ntdw,ntd->dw", hs, dl)
             grad_a -= np.einsum("ntdw->dw", gbb) / a
-            a_cont._accumulate(grad_a)
+            a_cont._accumulate(grad_a, owned=True)
 
     return out, backward
 
@@ -300,25 +300,25 @@ def _selective_scan_chunked(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor,
         coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
         lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
         if c.requires_grad:
-            c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
+            c._accumulate(np.einsum("ntd,ntdw->ntw", g, h), owned=True)
         if y.requires_grad:
-            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar))
+            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar), owned=True)
         # the ZOH chain rule of the streamed backward, over whole arrays
         ga = np.zeros_like(lam)
         np.multiply(lam[:, 1:], h[:, :-1], out=ga[:, 1:])
         gb = lam * y.data[..., None]
         if b.requires_grad:
-            b._accumulate(np.einsum("ntdw,ntdw->ntw", gb, q))
+            b._accumulate(np.einsum("ntdw,ntdw->ntw", gb, q), owned=True)
         gu = gb * b.data[:, :, None, :]
         gu /= a
         gu += ga
         gu *= a_bar
         if delta.requires_grad:
-            delta._accumulate(np.einsum("ntdw,dw->ntd", gu, a))
+            delta._accumulate(np.einsum("ntdw,dw->ntd", gu, a), owned=True)
         if a_cont.requires_grad:
             grad_a = np.einsum("ntdw,ntd->dw", gu, delta.data)
             grad_a -= np.einsum("ntdw,ntdw->dw", gb, b_bar) / a
-            a_cont._accumulate(grad_a)
+            a_cont._accumulate(grad_a, owned=True)
 
     return out, backward
 

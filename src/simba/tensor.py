@@ -4,7 +4,11 @@ Every differentiable operation used by the rest of the package is defined
 here.  The graph is define-by-run: each op returns a new Tensor that keeps
 references to its parents and a closure that accumulates gradients into
 them.  ``backward()`` on a scalar replays the closures in reverse
-topological order.
+topological order and consumes the graph as it goes: each interior node
+drops its grad, closure and parents once its closure has run, so the arrays
+it saved are freed during the walk.  Leaves (parameters and inputs) keep
+their grads.  A graph can be walked once; a second ``backward()`` that
+reaches a consumed node raises ``GraphConsumedError``.
 
 Every array keeps the dtype of its data: float32 in, float32 out.  There
 is no global default.  Non-float data (lists, ints, Python scalars) becomes
@@ -18,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, GraphConsumedError, ShapeError, ValidationError
 
 _GRAD_ENABLED = True
 
@@ -85,23 +89,41 @@ class Tensor:
 
     # --- autodiff core ---
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         # the first contribution is copied, never aliased: ops hand the same
-        # g to several parents, and reshape hands down a view of its own grad
+        # g to several parents, and reshape hands down a view of its own grad.
+        # ``owned`` says g is a fresh array the op hands to this parent only,
+        # so one of the parent's shape and dtype is kept without the copy.
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            if owned and type(g) is np.ndarray and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += g
 
     def backward(self) -> None:
-        """Populate grads of every reachable tensor; requires a scalar output."""
+        """Populate the grads of every leaf reachable from this scalar, consuming the graph.
+
+        Closures run in reverse topological order.  Once a node's closure has
+        run, its grad, closure and parents are dropped, so what it saved for
+        backward and the gradient it received are freed mid-walk.  Leaves
+        (``_backward is None``: parameters and inputs) keep their grads.  A
+        second call that reaches a consumed node raises ``GraphConsumedError``
+        before any closure runs, so the leaves' grads stay as they are.
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         order = _toposort(self)
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        if any(node._backward is _consumed for node in order):
+            _consumed(None)  # raises GraphConsumedError
+        self._accumulate(np.ones_like(self.data), owned=True)
+        while order:  # popping drops the walk's reference to each node
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _consumed, ()
 
     # --- operator sugar ---
 
@@ -181,6 +203,12 @@ def _toposort(root: Tensor):
     return order
 
 
+def _consumed(g):
+    """The closure of a node whose graph ``backward()`` has consumed."""
+    raise GraphConsumedError("backward() reached a graph that an earlier backward() consumed; "
+                             "run the forward again to record a new graph")
+
+
 def _make(data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op result; records the graph only when grads are live."""
     out = Tensor.__new__(Tensor)
@@ -232,9 +260,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -245,9 +273,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -263,11 +291,11 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, owned=True)
         if b.requires_grad:
             d, k = b.shape
             gb = a.data.reshape(-1, d).T @ g.reshape(-1, k)
-            b._accumulate(gb)
+            b._accumulate(gb, owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -282,7 +310,7 @@ def exp(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * data)
+            a._accumulate(g * data, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -293,7 +321,7 @@ def log(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -304,7 +332,7 @@ def sqrt(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * 0.5 / data)
+            a._accumulate(g * 0.5 / data, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -316,7 +344,7 @@ def relu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
+            a._accumulate(g * (a.data > 0.0), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -340,7 +368,7 @@ def silu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * s * (1.0 + a.data * (1.0 - s)))
+            a._accumulate(g * s * (1.0 + a.data * (1.0 - s)), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -356,7 +384,7 @@ def softplus(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * _sigmoid_stable(x))
+            a._accumulate(g * _sigmoid_stable(x), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -410,7 +438,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         if a.requires_grad:
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.shape))
 
     return _make(data, (a,), backward)
 
@@ -425,7 +453,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
         if a.requires_grad:
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
+            a._accumulate(np.broadcast_to(g, a.shape) / count, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -468,11 +496,11 @@ def pointwise_conv2d(x, w, b) -> Tensor:
     def backward(g):
         gm = g.reshape(n, co, t * v)
         if x.requires_grad:
-            x._accumulate((w.data.T @ gm).reshape(x.shape))
+            x._accumulate((w.data.T @ gm).reshape(x.shape), owned=True)
         if w.requires_grad:
-            w._accumulate(_pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)))
+            w._accumulate(_pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)), owned=True)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
 
     return _make(data, (x, w, b), backward)
 
@@ -504,9 +532,9 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
             gw = np.empty_like(w.data)
             for j in range(k):
                 gw[:, j] = np.einsum("ntd,ntd->d", g, xp[:, j:j + t, :])
-            w._accumulate(gw)
+            w._accumulate(gw, owned=True)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 1)))
+            b._accumulate(g.sum(axis=(0, 1)), owned=True)
 
     return _make(data, (x, w, b), backward)
 
@@ -585,15 +613,15 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
                 z = np.matmul(w.data, conv_input())
                 z += (b.data - mean)[:, None]
                 z *= inv[:, None]
-                gamma._accumulate(np.einsum("nck,nck->c", g, z))
+                gamma._accumulate(np.einsum("nck,nck->c", g, z), owned=True)
             gz = g * (gamma.data * inv)[:, None]
         if b.requires_grad:
-            b._accumulate(gz.sum(axis=(0, 2)))
+            b._accumulate(gz.sum(axis=(0, 2)), owned=True)
         if w.requires_grad:
-            w._accumulate(_pointwise_weight_grad(gz, conv_input()))
+            w._accumulate(_pointwise_weight_grad(gz, conv_input()), owned=True)
         if x.requires_grad:
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
-            x._accumulate(gx if shift is None else shift[1](gx))
+            x._accumulate(gx if shift is None else shift[1](gx), owned=True)
 
     return _make(out.reshape(n, co, t, v), (x, w, b, gamma, beta), backward)
 
@@ -638,6 +666,6 @@ def cross_entropy_logits(logits, labels) -> Tensor:
             grad = probs.copy()
             grad[rows, labels] -= 1.0
             grad *= g / n
-            logits._accumulate(grad)
+            logits._accumulate(grad, owned=True)
 
     return _make(data, (logits,), backward)

@@ -162,7 +162,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
             losses.append(loss.item() * len(idx))
             hits += int(np.sum(logits.data.argmax(axis=1) == y))
             seen += len(idx)
-            del logits, loss  # free this step's graph before the next forward
+            del logits, loss  # backward consumed the graph; drop its last arrays before the next forward
         try:
             probs, labels = evaluate(model, eval_ds, cfg, modality)
         except DomainError as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simba import tensor as T
-from simba.errors import DomainError, ShapeError, ValidationError
+from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
 from simba.shift_gcn import SPATIAL_SHIFT, frame_shift, spatial_shift, temporal_shift
 from simba.tensor import Tensor
 
@@ -189,6 +189,32 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running_mean", "running_var")
     for name, fused, composite in zip(names, *results):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+def test_fanout_into_two_shift_units_matches_composite_float64():
+    # x feeds two units, so its first gradient is an owned hand-off and the
+    # second is added into that array
+    rng = np.random.default_rng(17)
+    n, ci, co, t, v = 2, 6, 5, 6, 4
+    x0 = rng.normal(size=(n, ci, t, v))
+    params = [[rng.normal(size=s) for s in ((co, ci), co, co, co)] for _ in range(2)]
+    weights = rng.normal(size=(n, co, t, v))
+    grads = []
+    for fused in (True, False):
+        x = Tensor(x0, requires_grad=True)
+        total = 0.0
+        for unit, arrays in zip(("spatial_relu", "temporal_r1"), params):
+            pair, tensor_shift, relu = UNITS[unit]
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            rm, rv = np.zeros(co), np.ones(co)
+            if fused:
+                out = T.shift_conv_bn(x, *leaves, rm, rv, True, pair, relu)
+            else:
+                out = _shift_conv_bn_composite(x, *leaves, rm, rv, True, tensor_shift, relu)
+            total = total + (out * weights).sum()
+        total.backward()
+        grads.append(x.grad)
+    assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12
 
 
 @pytest.mark.parametrize("unit", ["spatial_relu", "temporal_r1"])
@@ -431,6 +457,49 @@ def test_first_gradient_contribution_is_copied():
     (a + b).sum().backward()
     a.grad += 5.0
     np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def test_owned_contribution_is_kept_without_copy():
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.ones(3, dtype=np.float32)
+    x._accumulate(g, owned=True)
+    assert x.grad is g
+    y = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    y._accumulate(np.ones(3), owned=True)  # another dtype: cast into a new array
+    assert y.grad.dtype == np.float32
+
+
+def _small_graph():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    hidden = T.silu(x @ w) * Tensor(rng.normal(size=(3, 2)))
+    return x, w, hidden, T.cross_entropy_logits(hidden, np.array([0, 1, 0]))
+
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
+    x, w, _, loss = _small_graph()
+    nodes = T._toposort(loss)
+    interior = [node for node in nodes if node._backward is not None]
+    leaves = [node for node in nodes if node._backward is None]
+    assert len(interior) == 4 and len(leaves) == 3
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+        assert node._backward is T._consumed  # a plain function: it keeps no arrays
+    assert x.grad is not None and w.grad is not None
+
+
+def test_second_backward_raises_and_keeps_grads():
+    x, w, hidden, loss = _small_graph()
+    loss.backward()
+    before = [x.grad.copy(), w.grad.copy()]
+    with pytest.raises(GraphConsumedError, match="consumed"):
+        loss.backward()
+    with pytest.raises(GraphConsumedError, match="run the forward again"):
+        (hidden * 2.0).sum().backward()  # a new op on a consumed node
+    np.testing.assert_array_equal(x.grad, before[0])
+    np.testing.assert_array_equal(w.grad, before[1])
 
 
 def test_gradient_dtype_follows_data():

@@ -1,5 +1,11 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,9 +250,10 @@ def test_training_aborts_on_nan_loss_with_location():
 
 def test_previous_step_graph_is_released_before_next_forward(monkeypatch):
     # only one step's graph may be alive at a time.  Tensor takes no weak
-    # references, so each step is watched through its logits' data buffer:
-    # the loss keeps the logits alive as its parent, so a dead buffer means
-    # a dead loss and a released graph.
+    # references, so each step is watched through its logits' data buffer.
+    # backward() consumes the graph, so after it the loss no longer holds the
+    # logits as a parent; a dead buffer means train() dropped its own
+    # references to the step's logits and loss.
     import simba.train as train_mod
     cfg, ds, model = _toy_setup(seed=7, epochs=1)
     cfg.batch_size_train = 2
@@ -269,6 +276,74 @@ def test_previous_step_graph_is_released_before_next_forward(monkeypatch):
     assert len(steps) == n_steps
     # train-mode forwards come first; the per-epoch evaluate forward follows
     assert alive_at_forward[:n_steps] == [[False] * k for k in range(n_steps)]
+
+
+def _small_float32_step():
+    """(forward, step) of a float32 model at C=64, T=32, N=2, V=25."""
+    cfg = preset_toy()
+    cfg.channels_C, cfg.window_T, cfg.precision = 64, 32, "float32"
+    ds = synth_generate(3, 2, v=25, t_raw=40, noise=0.05, seed=3)
+    model = build_model(cfg, ds)
+    opt = SGD(model.named_parameters())
+
+    def forward(i):
+        from simba.data import assemble_batch
+        x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint",
+                              seed_parts=(1, i), dtype=np.float32)
+        return cross_entropy_logits(model(Tensor(x)), y)
+
+    def step(i):
+        loss = forward(i)
+        opt.zero_grad()
+        loss.backward()
+        opt.step(0.05)
+
+    return forward, step
+
+
+def test_backward_peak_stays_near_the_forward_graph():
+    # backward frees each node once its closure has run; keeping every node's
+    # grad and closure to the end peaked at 1.8x the graph
+    forward, step = _small_float32_step()
+    for i in range(3):
+        step(i)
+    tracemalloc.start()
+    try:
+        loss = forward(3)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * live, (live, peak)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_train_step_reuses_the_heap():
+    # importing simba keeps freed arrays in glibc's heap, so a warm train step
+    # faults in next to no new pages; glibc's default thresholds hand them
+    # back to the kernel and fault them in again, step after step
+    script = (
+        "import resource\n"
+        "from test_train import _small_float32_step\n"
+        "_, step = _small_float32_step()\n"
+        "for i in range(3):\n"
+        "    step(i)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for i in range(3, 8):\n"
+        "    step(i)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
+    )
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults_per_step = float(proc.stdout.split()[-1])
+    assert faults_per_step <= 100, faults_per_step
 
 
 def test_step_size_underflow_aborts_with_location():
