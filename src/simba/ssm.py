@@ -15,23 +15,24 @@ the input, so the recurrence is time-varying.
 node that discretizes, scans and reads out.  Its inputs are at most
 [N, T, Dp] in size; the [N, T, Dp, W] coefficients and states are
 recomputed in backward instead of stored, as in Mamba's fused kernel.
-The adjoint of a linear recurrence is the same recurrence run backwards in
-time, and its result is chained through the ZOH by hand.  The chunk size
-picks the path:
+The chunk size picks the forward:
 
-* sequential (chunk None or covering T) — streamed: the forward
-  discretizes, steps and reads out one [N, Dp, W] time slice at a time and
-  builds no [N, T, Dp, W] array; the backward recomputes the states into
-  one such array and runs the adjoint in reverse time in place;
+* sequential (chunk None or covering T) — streamed: it discretizes, steps
+  and reads out one [N, Dp, W] time slice at a time and builds no
+  [N, T, Dp, W] array;
 * chunked — the sequence is cut into chunks whose local recurrences are
   advanced together as one vectorized numpy step per position, and the
   carried states are stitched across chunk boundaries with one short
-  sequential pass.  This path still materializes the coefficients, the
-  states and, in backward, the flipped adjoint inputs.
+  sequential pass.  It materializes the coefficients and the states.
+
+Both share one backward.  The adjoint of a linear recurrence is the same
+recurrence run backwards in time; the backward recomputes the states into
+one [N, T, Dp, W] array, runs the adjoint over it in reverse time in place
+and chains its result through the ZOH by hand.  So the two paths differ
+only in the rounding of their forward outputs; their gradients are equal.
 
 ``zoh_discretize`` and ``_scan_states_sequential`` are the whole-array
-discretization and scan, kept for the oracles, the chunked path and
-``simba bench-scan``.
+discretization and scan, kept for the oracles and ``simba bench-scan``.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def lti_conv(y: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scan kernels (raw numpy, shared by forward and adjoint)
+# whole-array scan kernels (raw numpy)
 # ---------------------------------------------------------------------------
 
 def _scan_states_sequential(a: np.ndarray, inj: np.ndarray) -> np.ndarray:
@@ -181,13 +182,6 @@ def _scan_states_chunked(a: np.ndarray, inj: np.ndarray, chunk: int) -> np.ndarr
     return states.reshape(n, m * chunk, dp, w)[:, :t]
 
 
-def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
-    """Sequential loop when ``chunk`` is None or covers T, chunked scan otherwise."""
-    if chunk is None or chunk >= a.shape[1]:
-        return _scan_states_sequential(a, inj)
-    return _scan_states_chunked(a, inj, chunk)
-
-
 # ---------------------------------------------------------------------------
 # the recorded scan op
 # ---------------------------------------------------------------------------
@@ -210,21 +204,34 @@ def _stream_states(a_cont: np.ndarray, b: np.ndarray, y: np.ndarray, delta: np.n
         yield h
 
 
-def _selective_scan_streamed(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor):
-    """Forward output and backward of the sequential op, one time slice at a time.
+def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
+    """One graph node: ZOH discretization, the scan and the readout.
 
-    The forward keeps no [N, T, Dp, W] array.  The backward recomputes the
-    states into one such array and runs the adjoint in reverse time in place,
-    lam_t = a_{t+1}*lam_{t+1} + g_t*c_t, writing the delta, y and B gradients
-    slice by slice.  The C and A gradients reduce over n and t with the
-    einsums of the chunked op, over the states and, for A, over gu (written
-    over the states once they are consumed) and gb*b_bar.
+    delta [N, T, Dp], a_cont [Dp, W], b and c [N, T, W], y [N, T, Dp].
+    ``chunk`` None or covering T streams the forward one [N, Dp, W] time
+    slice at a time and builds no [N, T, Dp, W] array; anything shorter
+    discretizes over whole arrays and runs ``_scan_states_chunked``.
+
+    Both forwards share one backward, which keeps nothing of shape
+    [N, T, Dp, W] from the forward.  It recomputes the states into one such
+    array and runs the adjoint in reverse time in place,
+    lam_t = a_{t+1}*lam_{t+1} + g_t*c_t, writing the delta, y and B
+    gradients slice by slice.  The C and A gradients reduce over n and t
+    with einsums, over the states and, for A, over gu (written over the
+    states once they are consumed) and gb*b_bar.
     """
+    _check_scan_inputs(a_cont.data, b.data, delta.data, c.data, y.data)
     n, t, dp = delta.shape
     dtype = np.result_type(a_cont.data, b.data, y.data, delta.data)
-    out = np.empty((n, t, dp), dtype=dtype)
-    for i, h in enumerate(_stream_states(a_cont.data, b.data, y.data, delta.data)):
-        out[:, i] = np.einsum("nw,ndw->nd", c.data[:, i], h)
+    if chunk is None or chunk >= t:
+        out = np.empty((n, t, dp), dtype=dtype)
+        for i, h in enumerate(_stream_states(a_cont.data, b.data, y.data, delta.data)):
+            out[:, i] = np.einsum("nw,ndw->nd", c.data[:, i], h)
+    else:
+        a_bar, inj = _zoh(a_cont.data, delta.data)
+        inj *= b.data[:, :, None, :]
+        inj *= y.data[..., None]
+        out = np.einsum("ntw,ntdw->ntd", c.data, _scan_states_chunked(a_bar, inj, chunk))
 
     def backward(g):
         a, dl, bd, yd = a_cont.data, delta.data, b.data, y.data
@@ -277,66 +284,6 @@ def _selective_scan_streamed(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor
             grad_a -= np.einsum("ntdw->dw", gbb) / a
             a_cont._accumulate(grad_a, owned=True)
 
-    return out, backward
-
-
-def _selective_scan_chunked(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk: int):
-    """Forward output and backward of the chunked op, over whole [N, T, Dp, W] arrays."""
-    a_bar, b_bar = _zoh(a_cont.data, delta.data)
-    b_bar *= b.data[:, :, None, :]
-    b_bar *= y.data[..., None]  # now the state injection b_bar*y
-    out = np.einsum("ntw,ntdw->ntd", c.data, _scan_states(a_bar, b_bar, chunk))
-
-    def backward(g):
-        a = a_cont.data
-        a_bar, q = _zoh(a, delta.data)
-        b_bar = q * b.data[:, :, None, :]
-        h = _scan_states(a_bar, b_bar * y.data[..., None], chunk)
-        # d L/d h_t has a direct part from the readout plus everything that
-        # flows back through later states; the latter is the same scan run
-        # in reverse time with the coefficients shifted by one step.
-        direct = g[..., None] * c.data[:, :, None, :]
-        a_rev = np.flip(a_bar, axis=1)
-        coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
-        lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
-        if c.requires_grad:
-            c._accumulate(np.einsum("ntd,ntdw->ntw", g, h), owned=True)
-        if y.requires_grad:
-            y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b_bar), owned=True)
-        # the ZOH chain rule of the streamed backward, over whole arrays
-        ga = np.zeros_like(lam)
-        np.multiply(lam[:, 1:], h[:, :-1], out=ga[:, 1:])
-        gb = lam * y.data[..., None]
-        if b.requires_grad:
-            b._accumulate(np.einsum("ntdw,ntdw->ntw", gb, q), owned=True)
-        gu = gb * b.data[:, :, None, :]
-        gu /= a
-        gu += ga
-        gu *= a_bar
-        if delta.requires_grad:
-            delta._accumulate(np.einsum("ntdw,dw->ntd", gu, a), owned=True)
-        if a_cont.requires_grad:
-            grad_a = np.einsum("ntdw,ntd->dw", gu, delta.data)
-            grad_a -= np.einsum("ntdw,ntdw->dw", gb, b_bar) / a
-            a_cont._accumulate(grad_a, owned=True)
-
-    return out, backward
-
-
-def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
-    """One graph node: ZOH discretization, the scan and the readout.
-
-    delta [N, T, Dp], a_cont [Dp, W], b and c [N, T, W], y [N, T, Dp].
-    Nothing of shape [N, T, Dp, W] outlives the forward: the backward
-    recomputes a_bar, b_bar and the states from the inputs.  ``chunk`` None
-    or covering T runs the streamed sequential op, anything shorter the
-    chunked one.
-    """
-    _check_scan_inputs(a_cont.data, b.data, delta.data, c.data, y.data)
-    if chunk is None or chunk >= delta.shape[1]:
-        out, backward = _selective_scan_streamed(delta, a_cont, b, c, y)
-    else:
-        out, backward = _selective_scan_chunked(delta, a_cont, b, c, y, chunk)
     return T._make(out, (delta, a_cont, b, c, y), backward)
 
 
@@ -347,7 +294,12 @@ def selective_scan_sequential(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tenso
 
 def selective_scan_parallel(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tensor,
                             chunk: int) -> Tensor:
-    """Chunked scan; mathematically identical to the sequential reference."""
+    """Chunked scan; mathematically identical to the sequential reference.
+
+    Only the forward differs: it runs ``_scan_states_chunked`` over whole
+    [N, T, Dp, W] arrays.  The backward is the sequential op's, so the
+    gradients are bit-identical to ``selective_scan_sequential``'s.
+    """
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
     return _selective_scan(delta, a_cont, b, c, y, chunk=chunk)

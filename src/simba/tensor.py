@@ -524,10 +524,12 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gx = np.zeros(x.shape, dtype=xp.dtype)
             for j in range(k):
-                gxp[:, j:j + t, :] += g * w.data[:, j][None, None, :]
-            x._accumulate(gxp[:, k - 1:, :])
+                s = k - 1 - j  # out[t] reads x[t - s] through w[:, j]
+                if s < t:
+                    gx[:, :t - s] += g[:, s:] * w.data[:, j]
+            x._accumulate(gx, owned=True)
         if w.requires_grad:
             gw = np.empty_like(w.data)
             for j in range(k):

@@ -38,17 +38,24 @@ def _zoh_composite(a_cont: Tensor, b_t: Tensor, delta: Tensor):
     return a_bar, b_bar
 
 
+def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
+    """The whole-array scan kernel of the composite: chunked when ``chunk`` is given."""
+    if chunk is None:
+        return ssm._scan_states_sequential(a, inj)
+    return ssm._scan_states_chunked(a, inj, chunk)
+
+
 def _scan_composite(a: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
     """The scan op over precomputed a_bar/b_bar that the fused op replaced."""
     inj = b.data * y.data[..., None]
-    h = ssm._scan_states(a.data, inj, chunk)
+    h = _scan_states(a.data, inj, chunk)
     out = np.einsum("ntw,ntdw->ntd", c.data, h)
 
     def backward(g):
         direct = g[..., None] * c.data[:, :, None, :]
         a_rev = np.flip(a.data, axis=1)
         coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
-        lam = np.flip(ssm._scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
+        lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
         h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
         a._accumulate(lam * h_prev)
         b._accumulate(lam * y.data[..., None])
@@ -71,17 +78,17 @@ def _selective_scan_materialized(delta, a_cont, b, c, y):
     """
     a_bar, b_bar = zoh_discretize(a_cont.data, b.data, delta.data)
     b_bar *= y.data[..., None]
-    out = np.einsum("ntw,ntdw->ntd", c.data, ssm._scan_states(a_bar, b_bar, None))
+    out = np.einsum("ntw,ntdw->ntd", c.data, ssm._scan_states_sequential(a_bar, b_bar))
 
     def backward(g):
         a = a_cont.data
         a_bar, q = ssm._zoh(a, delta.data)
         b_bar = q * b.data[:, :, None, :]
-        h = ssm._scan_states(a_bar, b_bar * y.data[..., None], None)
+        h = ssm._scan_states_sequential(a_bar, b_bar * y.data[..., None])
         direct = g[..., None] * c.data[:, :, None, :]
         a_rev = np.flip(a_bar, axis=1)
         coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
-        lam = np.flip(ssm._scan_states(coeff, np.flip(direct, axis=1), None), axis=1)
+        lam = np.flip(ssm._scan_states_sequential(coeff, np.flip(direct, axis=1)), axis=1)
         if c.requires_grad:
             c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
         if y.requires_grad:
@@ -205,25 +212,27 @@ def test_scan_single_step():
     np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-15)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 16, 64])
-def test_parallel_matches_sequential(chunk):
+@pytest.mark.parametrize("shape, chunk", [((2, 64, 3, 4), 1), ((2, 64, 3, 4), 3), ((2, 64, 3, 4), 16),
+                                          ((2, 64, 3, 4), 64), ((3, 13, 7, 4), 3), ((2, 64, 500, 16), 16)],
+                         ids=["1", "3", "16", "64", "ragged-3", "ntu60-16"])
+def test_parallel_matches_sequential(shape, chunk):
     rng = np.random.default_rng(chunk)
-    leaves = _random_scan_inputs(rng, 2, 64, 3, 4)
-    for leaf in leaves:
-        leaf.requires_grad = True
-    proj = Tensor(rng.normal(size=(2, 64, 3)))
-    outs, grads = [], []
-    for scan in (selective_scan_sequential, lambda *args: selective_scan_parallel(*args, chunk)):
-        for leaf in leaves:
-            leaf.zero_grad()
-        out = scan(*leaves)
-        (out * proj).sum().backward()
-        outs.append(out.data)
-        grads.append([leaf.grad for leaf in leaves])
-    assert np.max(np.abs(outs[1] - outs[0])) <= 1e-12
-    # the adjoint goes through the same chunked scan as the forward
-    for ref, par in zip(*grads):
-        assert np.max(np.abs(par - ref)) <= 1e-12
+    data = [leaf.data for leaf in _random_scan_inputs(rng, *shape)]
+    proj = rng.normal(size=shape[:3])
+    for dtype, out_tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        outs, grads = [], []
+        for scan in (selective_scan_sequential, lambda *args: selective_scan_parallel(*args, chunk)):
+            leaves = [Tensor(d.astype(dtype), requires_grad=True) for d in data]
+            out = scan(*leaves)
+            (out * Tensor(proj.astype(dtype))).sum().backward()
+            outs.append(out.data.astype(np.float64))
+            grads.append([leaf.grad for leaf in leaves])
+        assert np.max(np.abs(outs[1] - outs[0])) <= out_tol
+        # both ops share one backward, which recomputes the states from the
+        # inputs: only their forwards differ, so their gradients are equal
+        for ref, par in zip(*grads):
+            assert par.dtype == dtype
+            assert np.array_equal(par, ref)
 
 
 @pytest.mark.parametrize("chunk", [None, 3], ids=["sequential", "parallel"])
@@ -293,10 +302,10 @@ def test_streamed_scan_forward_keeps_no_state_sized_array():
 
 def test_streamed_scan_backward_peak_bounded():
     leaves = _ntu60_scan_leaves()
-    out = selective_scan_sequential(*leaves)
-    g = np.ones(out.shape, dtype=np.float32)
-    peak = _scan_peak_bytes(lambda: out._backward(g))
-    assert peak <= 5 * STATE_ARRAY_BYTES, peak
+    for out in (selective_scan_sequential(*leaves), selective_scan_parallel(*leaves, 16)):
+        g = np.ones(out.shape, dtype=np.float32)
+        peak = _scan_peak_bytes(lambda: out._backward(g))
+        assert peak <= 5 * STATE_ARRAY_BYTES, peak
 
 
 def test_scan_node_keeps_no_state_sized_arrays():

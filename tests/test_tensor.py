@@ -44,6 +44,29 @@ def test_pointwise_conv2d_matches_triple_loop():
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("t, k", [(9, 4), (3, 5)], ids=["k_le_t", "k_gt_t"])
+def test_causal_conv1d_depthwise_matches_loop(t, k):
+    rng = np.random.default_rng(8)
+    n, d = 2, 3
+    x, w, b, g = (rng.normal(size=s) for s in ((n, t, d), (d, k), (d,), (n, t, d)))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = T.causal_conv1d_depthwise(*leaves)
+    out._backward(g)
+    # out[t] = b + sum_j w[:, j] * x[t - (k - 1 - j)], terms before t = 0 dropped
+    ref, gx, gw = np.empty_like(x), np.zeros_like(x), np.zeros_like(w)
+    for ti in range(t):
+        ref[:, ti] = b
+        for j in range(k):
+            src = ti - (k - 1 - j)
+            if src >= 0:
+                ref[:, ti] += w[:, j] * x[:, src]
+                gx[:, src] += g[:, ti] * w[:, j]
+                gw[:, j] += np.sum(g[:, ti] * x[:, src], axis=0)
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+    for got, want in zip((leaf.grad for leaf in leaves), (gx, gw, g.sum(axis=(0, 1)))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_pointwise_conv2d_shape_error_names_both_shapes():
     x = Tensor(np.zeros((1, 3, 2, 2)))
     w = Tensor(np.zeros((4, 5)))
