@@ -13,20 +13,20 @@ print("=== spatial shift: channel c rotates the joint axis by c ===")
 # one frame, 4 channels, 5 joints; values encode the joint index
 x = np.zeros((1, 4, 1, 5))
 x[0, :, 0, :] = np.arange(5)[None, :]
-shifted = spatial_shift(Tensor(x)).data
+shifted = spatial_shift(x)
 for c in range(4):
     print(f"channel {c}: {x[0, c, 0].astype(int)} -> {shifted[0, c, 0].astype(int)}")
 print("every row is a rotation; a following 1x1 conv therefore sees a")
 print("different joint's feature in every channel - that is the whole trick.")
 
-restored = spatial_shift(spatial_shift(Tensor(x)), inverse=True).data
+restored = spatial_shift(spatial_shift(x), inverse=True)
 print("inverse shift restores the input exactly:", np.array_equal(restored, x))
 
 print("\n=== temporal shift: channels slide along the frame axis ===")
 x = np.zeros((1, 3, 4, 1))
 x[0, :, :, 0] = np.arange(1.0, 5.0)[None, :]
 print("offsets for 3 channels at radius 1:", temporal_offsets(3, 1))
-shifted = temporal_shift(Tensor(x), 1).data
+shifted = temporal_shift(x, 1)
 for c in range(3):
     print(f"channel {c}: {x[0, c, :, 0]} -> {shifted[0, c, :, 0]}  (zeros enter at the edge)")
 

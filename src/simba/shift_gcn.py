@@ -4,14 +4,15 @@ Graph convolutions are replaced by index shifts plus pointwise (1x1)
 convolutions: the spatial shift rotates each channel's vertex features by
 the channel index (a pure permutation within every frame), the temporal
 shift slides channel groups along the frame axis with zero fill at the
-boundaries.  Both shifts are slice copies, one or two per class of
-channels that move alike, so they build no index arrays and cache nothing.
+boundaries.  Both shifts are numpy maps on [N, C, T, V] arrays, not graph
+ops: slice copies, one or two per class of channels that move alike, so
+they build no index arrays and cache nothing.
 
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
 batch-norm [-> ReLU], with the shift handed over as a (forward, adjoint)
-pair of the numpy helpers below.  In eval mode the node folds batch-norm
-into the conv, one GEMM plus a bias [plus ReLU], and its backward
-recomputes x̂ only for the γ gradient.
+pair of these maps, ``SPATIAL_SHIFT`` or ``frame_shift(radius)``.  In eval
+mode the node folds batch-norm into the conv, one GEMM plus a bias [plus
+ReLU], and its backward recomputes x̂ only for the γ gradient.
 """
 
 from __future__ import annotations
@@ -26,33 +27,22 @@ from .nn import BatchNorm2d, Module, PointwiseConv2d
 from .tensor import Tensor
 
 
-def _rotate_vertices(arr: np.ndarray, inverse: bool) -> np.ndarray:
-    """out[n,c,t,v] = arr[n,c,t,(v±c) mod V]: channels c ≡ s (mod V) share one rotation."""
-    c, v = arr.shape[1], arr.shape[3]
-    out = np.empty_like(arr)
-    for s in range(min(c, v)):
-        k = (v - s) % v if inverse else s
-        src, dst = arr[:, s::v], out[:, s::v]
-        dst[..., :v - k] = src[..., k:]
-        dst[..., v - k:] = src[..., :k]
-    return out
-
-
-def spatial_shift(x: Tensor, inverse: bool = False) -> Tensor:
+def spatial_shift(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """out[n,c,t,v] = x[n,c,t,(v+c) mod V]; ``inverse`` undoes it exactly.
 
     A pure permutation within every (n, t) slice, so its adjoint is the
-    inverse permutation (no scatter-add required).
+    inverse permutation.  Channels c ≡ s (mod V) share one rotation.
     """
     if x.ndim != 4:
         raise ShapeError(f"spatial_shift expects [N,C,T,V], got {x.shape}")
-    data = _rotate_vertices(x.data, inverse)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_rotate_vertices(g, not inverse), owned=True)
-
-    return T._make(data, (x,), backward)
+    c, v = x.shape[1], x.shape[3]
+    out = np.empty_like(x)
+    for s in range(min(c, v)):
+        k = (v - s) % v if inverse else s
+        src, dst = x[:, s::v], out[:, s::v]
+        dst[..., :v - k] = src[..., k:]
+        dst[..., v - k:] = src[..., :k]
+    return out
 
 
 def temporal_offsets(c: int, radius: int) -> np.ndarray:
@@ -77,7 +67,7 @@ def _shift_frames(arr: np.ndarray, radius: int, negate: bool) -> np.ndarray:
     return out
 
 
-def temporal_shift(x: Tensor, radius: int) -> Tensor:
+def temporal_shift(x: np.ndarray, radius: int) -> np.ndarray:
     """Shift channel groups along the frame axis, zero-filled at the ends.
 
     out[n,c,t,v] = x[n,c,t-u(c),v] with u from ``temporal_offsets``; frames
@@ -89,18 +79,10 @@ def temporal_shift(x: Tensor, radius: int) -> Tensor:
         raise ShapeError(f"temporal_shift expects [N,C,T,V], got {x.shape}")
     if radius < 0:
         raise ShapeError(f"shift radius must be >= 0, got {radius}")
-    if radius == 0:
-        return x
-    data = _shift_frames(x.data, radius, negate=False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_shift_frames(g, radius, negate=True), owned=True)
-
-    return T._make(data, (x,), backward)
+    return _shift_frames(x, radius, negate=False)
 
 
-SPATIAL_SHIFT = (partial(_rotate_vertices, inverse=False), partial(_rotate_vertices, inverse=True))
+SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
 
 
 def frame_shift(radius: int):

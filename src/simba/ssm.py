@@ -222,7 +222,7 @@ def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tens
     """
     _check_scan_inputs(a_cont.data, b.data, delta.data, c.data, y.data)
     n, t, dp = delta.shape
-    dtype = np.result_type(a_cont.data, b.data, y.data, delta.data)
+    dtype = np.result_type(a_cont.data, b.data, c.data, y.data, delta.data)
     if chunk is None or chunk >= t:
         out = np.empty((n, t, dp), dtype=dtype)
         for i, h in enumerate(_stream_states(a_cont.data, b.data, y.data, delta.data)):

@@ -637,12 +637,6 @@ def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
     return x / sqrt(ms + eps) * gain
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    x = _as_tensor(x)
-    e = exp(x - np.max(x.data, axis=axis, keepdims=True))  # the shift carries no gradient
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def cross_entropy_logits(logits, labels) -> Tensor:
     """Mean of -log softmax(logits)[label]; stabilized by max subtraction.
 

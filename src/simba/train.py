@@ -14,7 +14,7 @@ from .config import TrainConfig
 from .data import SkeletonDataset, assemble_batch
 from .errors import DomainError, TrainingAbort, ValidationError
 from .model import SimbaModel
-from .tensor import cross_entropy_logits, no_grad, softmax
+from .tensor import cross_entropy_logits, no_grad
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -63,6 +63,12 @@ class SGD:
             p.data = p.data - lr * update
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of [N, K] logits, stabilized by max subtraction."""
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
              modality: str = "joint"):
     """Deterministic full-dataset pass; returns (probs [N, K], labels [N])."""
@@ -75,7 +81,7 @@ def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
             idx = range(start, min(start + cfg.batch_size_eval, len(dataset)))
             x, y = assemble_batch(dataset, idx, cfg.window_T, "eval", modality, dtype=dtype)
             logits = model(T.Tensor(x))
-            probs[idx.start:idx.stop] = softmax(logits, axis=1).data
+            probs[idx.start:idx.stop] = softmax(logits.data)
             labels[idx.start:idx.stop] = y
     return probs, labels
 

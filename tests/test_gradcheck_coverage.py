@@ -1,0 +1,68 @@
+"""The gradient suites check every op type a train step records.
+
+An op type is the qualified name of the backward closure a node records,
+such as ``shift_conv_bn.<locals>.backward``.  A new fused op that the model
+records fails here until a gradcheck runs it, and an op that only a
+gradcheck records shows up as an extra type.
+"""
+
+import numpy as np
+
+from simba import gradcheck
+from simba import tensor as T
+from simba.config import PRESETS
+from simba.data import assemble_batch, synth_generate
+from simba.train import build_model
+
+# primitives of the test-side composites and of gradcheck's own projection
+SUITE_ONLY = {"log", "reduce_sum"}
+
+
+def _op(qualname: str) -> str:
+    return qualname.split(".")[0]
+
+
+def _suite_ops(monkeypatch):
+    recorded = set()
+    make = T._make
+
+    def recording_make(data, parents, backward):
+        out = make(data, parents, backward)
+        if out._backward is not None:
+            recorded.add(_op(backward.__qualname__))
+        return out
+
+    monkeypatch.setattr(T, "_make", recording_make)
+    gradcheck.run_suites(["primitives", "scan"])
+    monkeypatch.undo()
+    return recorded
+
+
+def _train_step_ops(cfg, dataset):
+    model = build_model(cfg, dataset)
+    x, y = assemble_batch(dataset, np.arange(2), cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
+                          dtype=model.parameters()[0].dtype)
+    loss = T.cross_entropy_logits(model(T.Tensor(x)), y)
+    return {_op(node._backward.__qualname__) for node in T._toposort(loss) if node._backward is not None}
+
+
+def _toy_step_ops():
+    return _train_step_ops(PRESETS["toy"](), synth_generate(4, 2, v=8, t_raw=48, seed=0))
+
+
+def _ntu_step_ops():
+    cfg = PRESETS["ntu60"]()
+    cfg.depth_l = 1
+    assert cfg.partitions_enabled
+    return _train_step_ops(cfg, synth_generate(3, 1, v=25, t_raw=80, seed=0, partitions=5))
+
+
+def test_gradient_suites_cover_every_op_a_train_step_records(monkeypatch):
+    suite_ops = _suite_ops(monkeypatch)
+    step_ops = set()
+    for name, ops in (("toy", _toy_step_ops()), ("ntu60 depth 1", _ntu_step_ops())):
+        assert "shift_conv_bn" in ops and "_selective_scan" in ops, name
+        assert not ops - suite_ops, (name, sorted(ops - suite_ops))
+        step_ops |= ops
+    assert "pointwise_conv2d" in step_ops  # the partition gate's conv
+    assert suite_ops - step_ops == SUITE_ONLY, sorted(suite_ops - step_ops)

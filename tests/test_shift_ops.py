@@ -4,9 +4,11 @@ import pytest
 from simba import tensor as T
 from simba.errors import ShapeError
 from simba.shift_gcn import (
+    SPATIAL_SHIFT,
     ShiftSGcnBlock,
     ShiftTcnBlock,
     UnitTcnResidual,
+    frame_shift,
     spatial_shift,
     temporal_offsets,
     temporal_shift,
@@ -17,7 +19,7 @@ from simba.tensor import Tensor
 def test_spatial_shift_channel_zero_unchanged():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 4, 3, 5))
-    out = spatial_shift(Tensor(x)).data
+    out = spatial_shift(x)
     np.testing.assert_array_equal(out[:, 0], x[:, 0])
 
 
@@ -25,7 +27,7 @@ def test_spatial_shift_index_oracle():
     # x[0,c,0,v] = v, V=3: channel 1 reads (v+1) mod 3 -> [1, 2, 0]
     x = np.zeros((1, 3, 1, 3))
     x[0, :, 0, :] = np.arange(3)[None, :]
-    out = spatial_shift(Tensor(x)).data
+    out = spatial_shift(x)
     np.testing.assert_array_equal(out[0, 1, 0], [1.0, 2.0, 0.0])
     np.testing.assert_array_equal(out[0, 2, 0], [2.0, 0.0, 1.0])
 
@@ -33,7 +35,7 @@ def test_spatial_shift_index_oracle():
 def test_spatial_shift_is_permutation_per_slice():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 5, 4, 7))
-    out = spatial_shift(Tensor(x)).data
+    out = spatial_shift(x)
     for n in range(2):
         for t in range(4):
             np.testing.assert_array_equal(
@@ -43,7 +45,7 @@ def test_spatial_shift_is_permutation_per_slice():
 def test_spatial_shift_inverse_recovers_exactly():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 6, 3, 5))
-    roundtrip = spatial_shift(spatial_shift(Tensor(x)), inverse=True).data
+    roundtrip = spatial_shift(spatial_shift(x), inverse=True)
     np.testing.assert_array_equal(roundtrip, x)
 
 
@@ -52,23 +54,33 @@ def test_shifts_are_linear_maps():
     x = rng.normal(size=(1, 4, 5, 6))
     y = rng.normal(size=(1, 4, 5, 6))
     alpha, beta = 2.5, -1.25  # exactly representable
-    for op in (lambda v: spatial_shift(v).data, lambda v: temporal_shift(v, 1).data):
-        lhs = op(Tensor(alpha * x + beta * y))
-        rhs = alpha * op(Tensor(x)) + beta * op(Tensor(y))
+    for op in (spatial_shift, lambda v: temporal_shift(v, 1)):
+        lhs = op(alpha * x + beta * y)
+        rhs = alpha * op(x) + beta * op(y)
         np.testing.assert_array_equal(lhs, rhs)
 
 
 def test_temporal_shift_radius_zero_is_identity():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 5, 4, 3))
-    np.testing.assert_array_equal(temporal_shift(Tensor(x), 0).data, x)
+    np.testing.assert_array_equal(temporal_shift(x, 0), x)
+
+
+def test_shift_maps_reject_bad_input():
+    flat = np.zeros((2, 3, 4))
+    with pytest.raises(ShapeError, match=r"spatial_shift expects \[N,C,T,V\], got \(2, 3, 4\)"):
+        spatial_shift(flat)
+    with pytest.raises(ShapeError, match=r"temporal_shift expects \[N,C,T,V\], got \(2, 3, 4\)"):
+        temporal_shift(flat, 1)
+    with pytest.raises(ShapeError, match="radius must be >= 0, got -1"):
+        temporal_shift(np.zeros((1, 3, 4, 2)), -1)
 
 
 def test_temporal_shift_index_oracle():
     # r=1: offsets per channel are [-1, 0, 1]; x[0,0,t,0] = t+1
     x = np.zeros((1, 3, 3, 1))
     x[0, :, :, 0] = np.arange(1.0, 4.0)[None, :]
-    out = temporal_shift(Tensor(x), 1).data
+    out = temporal_shift(x, 1)
     np.testing.assert_array_equal(out[0, 0, :, 0], [2.0, 3.0, 0.0])  # u=-1 pulls future
     np.testing.assert_array_equal(out[0, 1, :, 0], [1.0, 2.0, 3.0])  # u=0
     np.testing.assert_array_equal(out[0, 2, :, 0], [0.0, 1.0, 2.0])  # u=+1 pulls past
@@ -84,7 +96,7 @@ def test_temporal_shift_boundary_mass_accounting():
     n, c, t, v = 2, 7, 6, 3
     x = rng.normal(size=(n, c, t, v))
     r = 1
-    out = temporal_shift(Tensor(x), r).data
+    out = temporal_shift(x, r)
     offsets = temporal_offsets(c, r)
     lost = 0.0
     for ch, u in enumerate(offsets):
@@ -103,7 +115,7 @@ def test_shift_sgcn_identity_conv_passthrough():
     block.eval()  # running stats are mean 0 / var 1 -> BN ~ identity at eps=0
     block.bn.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
-    expected = np.maximum(spatial_shift(Tensor(x)).data, 0.0)
+    expected = np.maximum(spatial_shift(x), 0.0)
     np.testing.assert_allclose(block(Tensor(x)).data, expected, atol=1e-12)
 
 
@@ -204,11 +216,13 @@ def _gather_temporal(arr, radius, negate):
     return padded[:, np.arange(c)[:, None, None], tmap[:, :, None], np.arange(v)[None, None, :]]
 
 
-def _forward_backward(op, x, g):
-    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
-    out = op(xt)
-    out._backward(g)
-    return out.data, xt.grad
+def _spatial_pair(inverse):
+    return SPATIAL_SHIFT[::-1] if inverse else SPATIAL_SHIFT
+
+
+def _forward_backward(pair, x, g):
+    """The shift of x and its adjoint applied to g."""
+    return pair[0](x), pair[1](g)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -218,7 +232,7 @@ def test_spatial_shift_matches_loop_oracle(shape, inverse, dtype):
     rng = np.random.default_rng(20)
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out, grad = _forward_backward(lambda t: spatial_shift(t, inverse=inverse), x, g)
+    out, grad = _forward_backward(_spatial_pair(inverse), x, g)
     assert out.dtype == dtype and grad.dtype == dtype
     np.testing.assert_array_equal(out, _spatial_loop(x, inverse))
     np.testing.assert_array_equal(grad, _spatial_loop(g, not inverse))
@@ -233,7 +247,7 @@ def test_temporal_shift_matches_loop_oracle(shape, radius, dtype):
     rng = np.random.default_rng(21)
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out, grad = _forward_backward(lambda t: temporal_shift(t, radius), x, g)
+    out, grad = _forward_backward(frame_shift(radius), x, g)
     assert out.dtype == dtype and grad.dtype == dtype
     expected = _temporal_loop(x, radius)
     np.testing.assert_array_equal(out, expected)
@@ -249,10 +263,10 @@ def test_shift_adjoint_identity(op):
     rng = np.random.default_rng(22)
     shape = (2, 11, 6, 4)
     x, y = rng.normal(size=shape), rng.normal(size=shape)
-    fn = {"spatial": spatial_shift,
-          "spatial_inverse": lambda t: spatial_shift(t, inverse=True),
-          "temporal": lambda t: temporal_shift(t, 2)}[op]
-    out, back = _forward_backward(fn, x, y)
+    pair = {"spatial": _spatial_pair(False),
+            "spatial_inverse": _spatial_pair(True),
+            "temporal": frame_shift(2)}[op]
+    out, back = _forward_backward(pair, x, y)
     assert abs(np.vdot(out, y) - np.vdot(x, back)) <= 1e-12 * np.sum(np.abs(x * back))
 
 
@@ -262,10 +276,10 @@ def test_shifts_equal_the_gather_at_ntu60_shape():
     x = rng.normal(size=shape).astype(np.float32)
     g = rng.normal(size=shape).astype(np.float32)
     for inverse in (False, True):
-        out, grad = _forward_backward(lambda t: spatial_shift(t, inverse=inverse), x, g)
+        out, grad = _forward_backward(_spatial_pair(inverse), x, g)
         assert np.array_equal(out, _gather_spatial(x, inverse))
         assert np.array_equal(grad, _gather_spatial(g, not inverse))
-    out, grad = _forward_backward(lambda t: temporal_shift(t, 1), x, g)
+    out, grad = _forward_backward(frame_shift(1), x, g)
     assert np.array_equal(out, _gather_temporal(x, 1, negate=False))
     assert np.array_equal(grad, _gather_temporal(g, 1, negate=True))
 

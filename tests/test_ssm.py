@@ -235,6 +235,19 @@ def test_parallel_matches_sequential(shape, chunk):
             assert np.array_equal(par, ref)
 
 
+def test_scan_output_dtype_promotes_with_c():
+    # a float64 C against float32 delta, A, B and y: both forwards promote
+    # with C and return the same values up to float32 rounding
+    rng = np.random.default_rng(35)
+    inputs = _random_scan_inputs(rng, 2, 7, 3, 4)
+    leaves = [Tensor(leaf, dtype=np.float32) for leaf in inputs]
+    leaves[3] = inputs[3]
+    seq = selective_scan_sequential(*leaves).data
+    par = selective_scan_parallel(*leaves, 3).data
+    assert seq.dtype == par.dtype == np.float64
+    np.testing.assert_allclose(seq, par, rtol=0, atol=1e-5)  # float32 states, summed in another order
+
+
 @pytest.mark.parametrize("chunk", [None, 3], ids=["sequential", "parallel"])
 def test_fused_scan_matches_composite_float64(chunk):
     rng = np.random.default_rng(31)

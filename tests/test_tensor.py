@@ -5,8 +5,9 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
-from simba.shift_gcn import SPATIAL_SHIFT, frame_shift, spatial_shift, temporal_shift
+from simba.shift_gcn import SPATIAL_SHIFT, frame_shift
 from simba.tensor import Tensor
+from simba.train import softmax
 
 
 def test_pointwise_conv2d_sum_of_ones():
@@ -171,26 +172,35 @@ def test_batchnorm_fused_matches_composite_float64(training):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
 
 
+def _shift_node(pair, x):
+    """A (forward, adjoint) shift pair recorded as a graph node of its own."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(pair[1](g), owned=True)
+
+    return T._make(pair[0](x.data), (x,), backward)
+
+
 def _shift_conv_bn_composite(x, w, b, gamma, beta, running_mean, running_var, training,
                              shift, relu):
     """The unit as the blocks built it before fusion: one node per step."""
-    out = T.pointwise_conv2d(shift(x) if shift else x, w, b)
+    out = T.pointwise_conv2d(_shift_node(shift, x) if shift else x, w, b)
     out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
     return T.relu(out) if relu else out
 
 
 UNITS = {
-    "spatial_relu": (SPATIAL_SHIFT, spatial_shift, True),
-    "temporal_r1": (frame_shift(1), lambda t: temporal_shift(t, 1), False),
-    "temporal_r2": (frame_shift(2), lambda t: temporal_shift(t, 2), False),
-    "no_shift": (None, None, False),
+    "spatial_relu": (SPATIAL_SHIFT, True),
+    "temporal_r1": (frame_shift(1), False),
+    "temporal_r2": (frame_shift(2), False),
+    "no_shift": (None, False),
 }
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("unit", sorted(UNITS))
 def test_shift_conv_bn_matches_composite_float64(unit, training):
-    pair, tensor_shift, relu = UNITS[unit]
+    pair, relu = UNITS[unit]
     rng = np.random.default_rng(15)
     n, ci, co, t, v = 2, 7, 5, 6, 4
     x0 = rng.normal(0.3, 1.4, size=(n, ci, t, v))
@@ -206,7 +216,7 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
         if fused:
             out = T.shift_conv_bn(*leaves, rm, rv, training, pair, relu)
         else:
-            out = _shift_conv_bn_composite(*leaves, rm, rv, training, tensor_shift, relu)
+            out = _shift_conv_bn_composite(*leaves, rm, rv, training, pair, relu)
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
     names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running_mean", "running_var")
@@ -227,13 +237,13 @@ def test_fanout_into_two_shift_units_matches_composite_float64():
         x = Tensor(x0, requires_grad=True)
         total = 0.0
         for unit, arrays in zip(("spatial_relu", "temporal_r1"), params):
-            pair, tensor_shift, relu = UNITS[unit]
+            pair, relu = UNITS[unit]
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             rm, rv = np.zeros(co), np.ones(co)
             if fused:
                 out = T.shift_conv_bn(x, *leaves, rm, rv, True, pair, relu)
             else:
-                out = _shift_conv_bn_composite(x, *leaves, rm, rv, True, tensor_shift, relu)
+                out = _shift_conv_bn_composite(x, *leaves, rm, rv, True, pair, relu)
             total = total + (out * weights).sum()
         total.backward()
         grads.append(x.grad)
@@ -245,7 +255,7 @@ def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
     # the folded GEMM rounds W·scale once more than conv-then-normalize does;
     # at the ntu60 width and realistic running stats that stays within a few
     # float32 ulps of the output's range
-    pair, _, relu = UNITS[unit]
+    pair, relu = UNITS[unit]
     rng = np.random.default_rng(16)
     n, ci, co, t, v = 2, 216, 108, 16, 25
     x0 = rng.normal(0.2, 1.0, size=(n, ci, t, v))
@@ -367,14 +377,14 @@ def test_forward_determinism_bit_identical():
         x = Tensor(rng.normal(size=(2, 3, 4, 5)))
         w = Tensor(rng.normal(size=(6, 3)))
         b = Tensor(rng.normal(size=6))
-        return T.softmax(T.pointwise_conv2d(x, w, b).mean(axis=(2, 3)), axis=1).data
+        return softmax(T.pointwise_conv2d(x, w, b).mean(axis=(2, 3)).data)
 
     assert np.array_equal(run(), run())
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(9)
-    probs = T.softmax(Tensor(rng.normal(size=(4, 7)) * 30), axis=1).data
+    probs = softmax(rng.normal(size=(4, 7)) * 30)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs >= 0)
 
@@ -396,7 +406,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     labels = np.array([1, 0, 4, 2])
     T.cross_entropy_logits(logits, labels).backward()
-    expected = T.softmax(Tensor(logits.data), axis=1).data.copy()
+    expected = softmax(logits.data)
     expected[np.arange(4), labels] -= 1.0
     np.testing.assert_allclose(logits.grad, expected / 4.0, atol=1e-12)
 
