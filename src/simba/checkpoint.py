@@ -96,7 +96,12 @@ def read_checkpoint(path):
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4))
-        meta = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise FormatError(f"{path}: checkpoint meta is not UTF-8 JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: checkpoint meta is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         entries = dict(_read_entry(f) for _ in range(count))
     return meta, entries

@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a dataset with a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", default="joint", choices=[m.value for m in Modality])
+    p.add_argument("--modality", choices=[m.value for m in Modality],
+                   help="input stream (defaults to, and must match, the checkpoint's)")
     p.add_argument("--scores", required=True, help="output JSON path")
 
     p = sub.add_parser("fuse", help="sum softmax streams and report accuracy")
@@ -103,6 +104,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     meta, _ = read_checkpoint(args.ckpt)
+    missing = [key for key in ("config", "modality", "num_classes", "num_joints") if key not in meta]
+    if missing:
+        raise ValidationError(f"{args.ckpt}: checkpoint meta lacks {missing}; "
+                              "evaluate a checkpoint that `simba train` wrote")
+    modality = args.modality or meta["modality"]
+    if modality != meta["modality"]:
+        raise ValidationError(f"--modality {modality} does not match the checkpoint, "
+                              f"which was trained on {meta['modality']!r}")
     cfg = TrainConfig.from_dict(meta["config"])
     ds = load_dataset(args.data)
     if ds.num_classes != meta["num_classes"] or ds.num_joints != meta["num_joints"]:
@@ -111,7 +120,7 @@ def _cmd_eval(args) -> int:
             f"checkpoint ({meta['num_classes']} classes, {meta['num_joints']} joints)")
     model = build_model(cfg, ds)
     load_checkpoint(args.ckpt, model)
-    probs, labels = evaluate(model, ds, cfg, args.modality)
+    probs, labels = evaluate(model, ds, cfg, modality)
     save_scores(args.scores, probs)
     print(f"top-1 accuracy {accuracy(probs, labels):.4f} on {len(ds)} samples; "
           f"scores written to {args.scores}")

@@ -10,7 +10,7 @@ One module runs, per Algorithm-style composition:
     unflatten back to [N, D, T, V]
     decoder: three shift-GCNs D -> C/4 -> C/2 -> C, adding the encoder
     skips from the matching depths
-    exit: ReLU(temporal shift block + unit-TCN residual of the module input)
+    exit: ReLU(unit-TCN residual of the module input + temporal shift block)
 
 Modules are stacked; a global average pool over (T, V) and a linear head
 produce the class logits.
@@ -131,7 +131,7 @@ class SimbaModule(Module):
             flat = flatten_vertices(x4)
             x4 = unflatten_vertices(self.imamba(flat), self.v)
         x7 = self.decode(x4, skips)
-        return T.relu(self.tcn(x7) + self.residual(x_in))
+        return self.residual(x_in, self.tcn(x7))
 
 
 class SimbaModel(Module):

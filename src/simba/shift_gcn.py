@@ -9,10 +9,10 @@ ops: slice copies, one or two per class of channels that move alike, so
 they build no index arrays and cache nothing.
 
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
-batch-norm [-> ReLU], with the shift handed over as a (forward, adjoint)
-pair of these maps, ``SPATIAL_SHIFT`` or ``frame_shift(radius)``.  In eval
-mode the node folds batch-norm into the conv, one GEMM plus a bias [plus
-ReLU], and its backward recomputes x̂ only for the γ gradient.
+batch-norm [+ skip] [-> ReLU], with the shift handed over as a (forward,
+adjoint) pair of these maps, ``SPATIAL_SHIFT`` or ``frame_shift(radius)``.
+In eval mode the node folds batch-norm into the conv, one GEMM plus a bias
+[plus skip and ReLU], and its backward recomputes x̂ only for the γ gradient.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def frame_shift(radius: int):
             partial(_shift_frames, radius=radius, negate=True))
 
 
-def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu: bool = False) -> Tensor:
+def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu=False, skip=None) -> Tensor:
     return T.shift_conv_bn(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                           bn.training, shift, relu, bn.momentum, bn.eps)
+                           bn.training, shift, relu, skip, bn.momentum, bn.eps)
 
 
 class ShiftSGcnBlock(Module):
@@ -113,7 +113,7 @@ class ShiftSGcnBlock(Module):
 class ShiftTcnBlock(Module):
     """Temporal shift -> pointwise conv -> BN; shape-preserving, no activation.
 
-    The ReLU belongs to the caller: it is applied after the residual sum.
+    Its output is the ``skip`` of the module exit, ``UnitTcnResidual``.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, radius: int = 1):
@@ -129,12 +129,12 @@ class ShiftTcnBlock(Module):
 
 
 class UnitTcnResidual(Module):
-    """Pointwise conv + BN used as the block residual, mapping Cin to Cout."""
+    """Pointwise conv + BN residual, Cin to Cout; given ``skip``, ReLU(BN(conv(x)) + skip)."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.conv = PointwiseConv2d(c_in, c_out, rng)
         self.bn = BatchNorm2d(c_out)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return _unit(x, self.conv, self.bn, None)
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        return _unit(x, self.conv, self.bn, None, skip is not None, skip)

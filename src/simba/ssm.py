@@ -68,18 +68,20 @@ def _check_scan_inputs(a_cont: np.ndarray, b_t: np.ndarray, delta: np.ndarray, c
     """The ShapeError and DomainError checks of ``zoh_discretize`` and the scan op.
 
     A DomainError names the offending entry: the smallest step size and its
-    (n, t, d), or the largest continuous coefficient and its (d, w).
+    (n, t, d), or the largest continuous coefficient and its (d, w).  Each
+    comparison holds only inside the domain, so NaN fails it, and ``argmin``
+    and ``argmax`` name the first NaN entry ahead of any number.
     """
     n, t, dp = delta.shape
     w = a_cont.shape[-1]
     if y is not None and (y.shape != (n, t, dp) or c_t.shape != (n, t, w)):
         raise ShapeError(f"inconsistent scan inputs: delta {delta.shape}, c {c_t.shape}, y {y.shape}")
-    if np.any(a_cont >= 0.0):
+    if not np.all(a_cont < 0.0):
         raise DomainError("continuous state coefficients must be strictly negative; "
-                          + _describe(a_cont, np.nanargmax, "largest A entry", "d, w"))
-    if np.any(delta <= 0.0):
+                          + _describe(a_cont, np.argmax, "largest A entry", "d, w"))
+    if not np.all(delta > 0.0):
         raise DomainError("step sizes must be strictly positive; "
-                          + _describe(delta, np.nanargmin, "smallest delta", "n, t, d"))
+                          + _describe(delta, np.argmin, "smallest delta", "n, t, d"))
     if a_cont.shape != (dp, w) or b_t.shape != (n, t, w):
         raise ShapeError(f"inconsistent zoh shapes: A {a_cont.shape}, B {b_t.shape}, delta {delta.shape}")
 
@@ -112,11 +114,12 @@ def lti_kernel(a_cont: np.ndarray, b_const: np.ndarray, c_const: np.ndarray,
     """
     if m <= 0:
         raise DomainError(f"kernel length must be positive, got {m}")
-    if delta_const <= 0.0:
-        raise DomainError("step size must be strictly positive")
+    if not delta_const > 0.0:
+        raise DomainError(f"step size must be strictly positive, got {delta_const}")
     a_cont = np.asarray(a_cont, dtype=np.float64)
-    if np.any(a_cont >= 0.0):
-        raise DomainError("continuous state coefficients must be strictly negative")
+    if not np.all(a_cont < 0.0):
+        raise DomainError("continuous state coefficients must be strictly negative; "
+                          + _describe(a_cont, np.argmax, "largest A entry", "w"))
     a_bar = np.exp(delta_const * a_cont)
     b_bar = (a_bar - 1.0) / a_cont * np.asarray(b_const, dtype=np.float64)
     powers = a_bar[None, :] ** np.arange(m)[:, None]

@@ -1,6 +1,6 @@
 """Dense N-D tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation used by the rest of the package is defined
+Every differentiable op but the selective scan node (in ``ssm.py``) is defined
 here.  The graph is define-by-run: each op returns a new Tensor that keeps
 references to its parents and a closure that accumulates gradients into
 them.  ``backward()`` on a scalar replays the closures in reverse
@@ -337,18 +337,6 @@ def sqrt(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def relu(a) -> Tensor:
-    # subgradient at 0 is 0
-    a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0), owned=True)
-
-    return _make(data, (a,), backward)
-
-
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) below; exp never overflows.
 
@@ -542,21 +530,23 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
 
 
 def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: bool,
-                  shift=None, relu: bool = False, momentum: float = 0.1,
+                  shift=None, relu: bool = False, skip=None, momentum: float = 0.1,
                   eps: float = 1e-5) -> Tensor:
-    """shift -> 1x1 conv -> batch-norm [-> ReLU] on x[N, Cin, T, V], one graph node.
+    """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] on x[N, Cin, T, V], one graph node.
 
     ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
     input before the conv, or None.  Batch-norm normalizes each output
     channel over the (N, T, V) axes: train mode uses the batch statistics
     and updates the running arrays in place (exponential moving average,
-    unbiased variance); eval mode uses the running statistics.
+    unbiased variance); eval mode uses the running statistics.  ``skip``,
+    None or a tensor of the output's shape, is added before the ReLU, so a
+    residual unit's ReLU(BN(conv(x)) + skip) is one node.
 
     Train mode keeps x̂ (written over the conv output), the output and the
     per-channel 1/sqrt(var + eps) for the backward.  Eval mode is an affine
     map, so it folds batch-norm into the conv (Jacob et al. 2018, §3.2):
-    with scale = γ/sqrt(var + eps) it runs one GEMM with W·scale, one bias
-    pass of (b - mean)·scale + β and the ReLU in place, and builds no x̂.
+    with scale = γ/sqrt(var + eps) it runs one GEMM with W·scale, then the
+    bias (b - mean)·scale + β, the skip and the ReLU in place; no x̂.
     Its backward recomputes x̂ = (W·shift(x) + b - mean)/sqrt(var + eps)
     only when γ needs a gradient, and never divides by γ.  Both modes re-run
     the shift for the weight gradient instead of keeping the shifted input.
@@ -565,6 +555,9 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
     _check_pointwise(x, w, b)
     n, ci, t, v = x.shape
     co = w.shape[0]
+    skip = None if skip is None else _as_tensor(skip)
+    if skip is not None and skip.shape != (n, co, t, v):
+        raise ShapeError(f"skip shape {skip.shape} != unit output shape {(n, co, t, v)}")
     count = n * t * v
     if training and count < 2:
         raise DomainError(f"batch-norm train mode needs >=2 elements per channel, got {count}")
@@ -593,6 +586,8 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         out = np.matmul(w.data * scale[:, None], conv_input())
         out += ((b.data - mean) * scale + beta.data)[:, None]
         xhat = None
+    if skip is not None:
+        out += skip.data.reshape(n, co, t * v)
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -600,6 +595,8 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         g = g.reshape(n, co, t * v)
         if relu:
             g = g * (out > 0)
+        if skip is not None and skip.requires_grad:
+            skip._accumulate(g.reshape(skip.shape))  # copied: g is read again below
         sum_g = g.sum(axis=(0, 2))
         if beta.requires_grad:
             beta._accumulate(sum_g)
@@ -625,7 +622,8 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
             x._accumulate(gx if shift is None else shift[1](gx), owned=True)
 
-    return _make(out.reshape(n, co, t, v), (x, w, b, gamma, beta), backward)
+    parents = (x, w, b, gamma, beta) if skip is None else (x, w, b, gamma, beta, skip)
+    return _make(out.reshape(n, co, t, v), parents, backward)
 
 
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:

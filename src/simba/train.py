@@ -71,7 +71,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
              modality: str = "joint"):
-    """Deterministic full-dataset pass; returns (probs [N, K], labels [N])."""
+    """Deterministic full-dataset pass; returns (probs [N, K], labels [N]).
+
+    Non-finite logits raise ``DomainError`` naming the batch's sample range.
+    """
     model.eval()
     dtype = model.parameters()[0].dtype
     probs = np.empty((len(dataset), model.num_classes))
@@ -81,6 +84,8 @@ def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
             idx = range(start, min(start + cfg.batch_size_eval, len(dataset)))
             x, y = assemble_batch(dataset, idx, cfg.window_T, "eval", modality, dtype=dtype)
             logits = model(T.Tensor(x))
+            if not np.all(np.isfinite(logits.data)):
+                raise DomainError(f"non-finite logits for samples [{idx.start}, {idx.stop})")
             probs[idx.start:idx.stop] = softmax(logits.data)
             labels[idx.start:idx.stop] = y
     return probs, labels
@@ -241,6 +246,9 @@ def load_scores(path):
         raise ValidationError(f"{path}: unsupported score format")
     ids = [e["id"] for e in payload["entries"]]
     probs = np.array([e["probs"] for e in payload["entries"]], dtype=np.float64)
-    if probs.size and (np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6)):
-        raise ValidationError(f"{path}: rows must be probability vectors summing to 1")
+    if probs.size:  # each comparison holds only for valid rows, so NaN and inf fail it
+        ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
+        if not np.all(ok):
+            raise ValidationError(f"{path}: row {int(np.argmin(ok))} is not a probability "
+                                  "vector summing to 1")
     return probs, ids

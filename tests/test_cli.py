@@ -75,6 +75,41 @@ def test_eval_rejects_unknown_config_field(tmp_path, toy_config, toy_data, capsy
     assert "unknown config fields: ['scan_chunks']" in capsys.readouterr().err
 
 
+def test_eval_rejects_malformed_checkpoint_meta(tmp_path, toy_config, toy_data, capsys):
+    from simba.checkpoint import save_checkpoint
+    from simba.config import TrainConfig
+    from simba.data import load_dataset
+    from simba.train import build_model
+    bare = tmp_path / "bare.bin"
+    save_checkpoint(bare, build_model(TrainConfig.load(toy_config), load_dataset(toy_data)))
+    raw = bare.read_bytes()
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(raw[:6] + struct.pack("<I", 2) + b"\xff{" + raw[12:])
+    capsys.readouterr()
+    for ckpt, message in ((bare, "checkpoint meta lacks ['config', 'modality', 'num_classes', 'num_joints']"),
+                          (corrupt, "checkpoint meta is not UTF-8 JSON")):
+        assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
+                   "--scores", str(tmp_path / "s.json")) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_eval_modality_defaults_to_the_checkpoints(tmp_path, toy_config, toy_data, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--modality", "bone", "--out", str(out), "--quiet") == 0
+    ckpt = str(out / "checkpoint.bin")
+    scores = {}
+    for flag in ((), ("--modality", "bone")):
+        path = tmp_path / f"scores{len(flag)}.json"
+        assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--scores", str(path), *flag) == 0
+        scores[flag] = path.read_bytes()
+    assert scores[()] == scores[("--modality", "bone")]
+    capsys.readouterr()
+    assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--modality", "joint",
+               "--scores", str(tmp_path / "joint.json")) == 1
+    assert "which was trained on 'bone'" in capsys.readouterr().err
+
+
 def test_train_outputs_reproducible_byte_for_byte(tmp_path, toy_config, toy_data):
     digests = []
     for name in ("r1", "r2"):

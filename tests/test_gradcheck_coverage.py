@@ -3,8 +3,12 @@
 An op type is the qualified name of the backward closure a node records,
 such as ``shift_conv_bn.<locals>.backward``.  A new fused op that the model
 records fails here until a gradcheck runs it, and an op that only a
-gradcheck records shows up as an extra type.
+gradcheck records shows up as an extra type.  An op that the package
+defines but no train step records is an orphan, and fails here too.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +20,9 @@ from simba.train import build_model
 
 # primitives of the test-side composites and of gradcheck's own projection
 SUITE_ONLY = {"log", "reduce_sum"}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "simba"
 
 
 def _op(qualname: str) -> str:
@@ -66,3 +73,24 @@ def test_gradient_suites_cover_every_op_a_train_step_records(monkeypatch):
         step_ops |= ops
     assert "pointwise_conv2d" in step_ops  # the partition gate's conv
     assert suite_ops - step_ops == SUITE_ONLY, sorted(suite_ops - step_ops)
+
+
+def _ops_with_an_adjoint():
+    """Every function in the package that defines a nested ``backward``, by op type."""
+    ops = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            functions = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in functions:
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(inner, ast.FunctionDef) and inner.name == "backward"
+                        for inner in ast.walk(fn) if inner is not fn):
+                    ops.add(top.name)
+    return ops
+
+
+def test_every_op_with_an_adjoint_is_recorded_by_a_train_step():
+    defined = _ops_with_an_adjoint()
+    assert {"shift_conv_bn", "_selective_scan", "cross_entropy_logits"} <= defined
+    orphans = defined - _toy_step_ops() - _ntu_step_ops() - SUITE_ONLY
+    assert not orphans, sorted(orphans)

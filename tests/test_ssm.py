@@ -182,6 +182,25 @@ def test_scan_domain_errors_name_the_entry():
         zoh_discretize(a.data, b.data, delta.data)
 
 
+def test_scan_domain_checks_fail_closed_on_nan():
+    # NaN compares false both ways, so the checks test for the valid domain
+    rng = np.random.default_rng(16)
+    delta, a, b, c, y = _random_scan_inputs(rng, 2, 4, 3, 2)
+    delta.data[0, 3, 2] = -0.5
+    delta.data[1, 1, 2] = np.nan
+    for scan in (selective_scan_sequential, lambda *args: selective_scan_parallel(*args, 2)):
+        with pytest.raises(DomainError, match=r"smallest delta nan at \(n, t, d\) = \(1, 1, 2\)"):
+            scan(delta, a, b, c, y)
+    delta.data[0, 3, 2] = delta.data[1, 1, 2] = 0.1
+    a.data[2, 1] = np.nan
+    with pytest.raises(DomainError, match=r"largest A entry nan at \(d, w\) = \(2, 1\)"):
+        zoh_discretize(a.data, b.data, delta.data)
+    with pytest.raises(DomainError, match=r"largest A entry nan at \(w\) = \(1,\)"):
+        lti_kernel(np.array([-1.0, np.nan]), np.ones(2), np.ones(2), 0.5, 3)
+    with pytest.raises(DomainError, match="step size must be strictly positive"):
+        lti_kernel(np.array([-1.0]), np.ones(1), np.ones(1), np.nan, 3)
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
-from simba.shift_gcn import SPATIAL_SHIFT, frame_shift
+from simba.shift_gcn import SPATIAL_SHIFT, UnitTcnResidual, frame_shift
 from simba.tensor import Tensor
 from simba.train import softmax
 
@@ -181,12 +181,22 @@ def _shift_node(pair, x):
     return T._make(pair[0](x.data), (x,), backward)
 
 
+def _relu_node(x):
+    """ReLU as a graph node of its own; its subgradient at 0 is 0."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (x.data > 0.0), owned=True)
+
+    return T._make(np.maximum(x.data, 0.0), (x,), backward)
+
+
 def _shift_conv_bn_composite(x, w, b, gamma, beta, running_mean, running_var, training,
-                             shift, relu):
+                             shift, relu, skip=None):
     """The unit as the blocks built it before fusion: one node per step."""
     out = T.pointwise_conv2d(_shift_node(shift, x) if shift else x, w, b)
     out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
-    return T.relu(out) if relu else out
+    out = out if skip is None else out + skip
+    return _relu_node(out) if relu else out
 
 
 UNITS = {
@@ -194,6 +204,7 @@ UNITS = {
     "temporal_r1": (frame_shift(1), False),
     "temporal_r2": (frame_shift(2), False),
     "no_shift": (None, False),
+    "residual_exit": (None, True),  # takes a skip: ReLU(BN(conv(x)) + skip)
 }
 
 
@@ -209,19 +220,27 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     g0[1] = 0.0  # the eval backward recomputes x̂ for dγ rather than dividing by γ
     rm0, rv0 = rng.normal(size=co), 0.5 + rng.random(co)
     weights = rng.normal(size=(n, co, t, v))
+    arrays = (x0, w0, b0, g0, beta0)
+    if unit == "residual_exit":
+        arrays += (rng.normal(size=(n, co, t, v)),)
     results = []
     for fused in (True, False):
-        leaves = [Tensor(a, requires_grad=True) for a in (x0, w0, b0, g0, beta0)]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
-        if fused:
-            out = T.shift_conv_bn(*leaves, rm, rv, training, pair, relu)
-        else:
-            out = _shift_conv_bn_composite(*leaves, rm, rv, training, pair, relu)
+        unit_fn = T.shift_conv_bn if fused else _shift_conv_bn_composite
+        out = unit_fn(*leaves[:5], rm, rv, training, pair, relu, *leaves[5:])
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
-    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "running_mean", "running_var")
-    for name, fused, composite in zip(names, *results):
+    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "dskip")[:len(arrays) + 1]
+    for name, fused, composite in zip(names + ("running_mean", "running_var"), *results):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
+def test_shift_conv_bn_rejects_a_skip_of_another_shape():
+    x, w, b = np.ones((2, 3, 4, 5)), np.ones((6, 3)), np.zeros(6)
+    with pytest.raises(ShapeError, match="skip shape"):
+        T.shift_conv_bn(x, w, b, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
+                        skip=np.ones((2, 3, 4, 5)))
 
 
 def test_fanout_into_two_shift_units_matches_composite_float64():
@@ -453,9 +472,22 @@ def test_softplus_linear_above_cutoff():
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
-    T.relu(x).sum().backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+    # an eval residual unit with skip = -(its pre-activation): the sum is
+    # exactly 0 at the first position, and its gradient there is 0
+    rng = np.random.default_rng(19)
+    unit = UnitTcnResidual(2, 3, rng)
+    unit.eval()
+    x = Tensor(rng.normal(size=(1, 2, 1, 3)))
+    with T.no_grad():
+        pre = unit(x).data
+    skip0 = -pre
+    skip0[..., 1] -= 1.0  # below the kink
+    skip0[..., 2] += 1.0  # above it
+    skip = Tensor(skip0, requires_grad=True)
+    out = unit(x, skip)
+    assert np.all(out.data[..., :2] == 0.0) and np.all(out.data[..., 2] > 0.0)
+    out.sum().backward()
+    np.testing.assert_array_equal(skip.grad[0, :, 0], [[0.0, 0.0, 1.0]] * 3)
 
 
 def test_no_grad_suppresses_recording():

@@ -16,7 +16,8 @@ from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationErro
 from simba.data import synth_generate
 from simba.nn import Parameter
 from simba.tensor import Tensor, cross_entropy_logits
-from simba.train import SGD, accuracy, build_model, evaluate, fuse_scores, lr_at, train
+from simba.train import (SGD, accuracy, build_model, evaluate, fuse_scores, load_scores, lr_at,
+                         save_scores, train)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,30 @@ def test_evaluate_returns_valid_distributions():
     assert np.all(probs >= 0.0)
     np.testing.assert_array_equal(labels, ds.labels())
     assert 0.0 <= accuracy(probs, labels) <= 1.0
+
+
+def test_non_finite_evaluation_fails_closed():
+    # train-mode batch-norm never reads the running mean, so the train steps
+    # stay finite and only the evaluation goes NaN
+    cfg, ds, model = _toy_setup(seed=5, epochs=1)
+    cfg.batch_size_eval = 8
+    model.modules_[-1].residual.bn.running_mean[0] = np.nan
+    with pytest.raises(DomainError, match=r"non-finite logits for samples \[0, 8\)"):
+        evaluate(model, ds, cfg)
+    with pytest.raises(TrainingAbort, match=r"epoch 0, evaluation: non-finite logits"):
+        train(model, ds, ds, cfg, verbose=False)
+
+
+def test_load_scores_rejects_non_finite_rows(tmp_path):
+    path = tmp_path / "scores.json"
+    for bad in (np.nan, np.inf):
+        probs = np.full((3, 2), 0.5)
+        probs[1] = [bad, 0.5]
+        save_scores(path, probs)
+        with pytest.raises(ValidationError, match="row 1 is not a probability vector"):
+            load_scores(path)
+    save_scores(path, np.full((3, 2), 0.5))
+    assert load_scores(path)[1] == [0, 1, 2]
 
 
 def test_repeat_augmentation_multiplies_steps():
