@@ -60,7 +60,11 @@ def _read_exact(f, n: int) -> bytes:
 
 def _read_entry(f):
     (name_len,) = struct.unpack("<H", _read_exact(f, 2))
-    name = _read_exact(f, name_len).decode("utf-8")
+    raw = _read_exact(f, name_len)
+    try:
+        name = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint entry name {raw!r} is not UTF-8 ({exc})") from exc
     code, ndim = struct.unpack("<BB", _read_exact(f, 2))
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code} for entry {name!r}")

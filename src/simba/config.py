@@ -20,7 +20,6 @@ class TrainConfig:
     warmup_epochs: int = 5
     weight_decay: float = 1e-4
     momentum: float = 0.9
-    nesterov: bool = True
     epochs: int = 90
     batch_size_train: int = 64
     batch_size_eval: int = 512
@@ -35,8 +34,6 @@ class TrainConfig:
     partitions_enabled: bool = True
     with_imamba: bool = True
     temporal_shift_radius: int = 1
-    conv_kernel: int = 4
-    norm_placement: str = "post"
     scan_chunk: int = 0  # 0, 1 or >= window_T streams the sequential scan; else chunk length
     # run
     seed: int = 1
@@ -62,7 +59,7 @@ class TrainConfig:
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
         for name in ("repeat_augmentation", "batch_size_train", "batch_size_eval", "window_T",
-                     "mamba_D", "ssm_W", "conv_kernel"):
+                     "mamba_D", "ssm_W"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.temporal_shift_radius < 0:

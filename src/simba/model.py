@@ -85,8 +85,7 @@ class SimbaModule(Module):
     def __init__(self, c_in: int, c: int, d: int, v: int, w: int,
                  rng: np.random.Generator, *, with_imamba: bool = True,
                  partition_labels: np.ndarray | None = None,
-                 tcn_radius: int = 1, conv_kernel: int = 4,
-                 norm_placement: str = "post", scan_chunk: int = 0):
+                 tcn_radius: int = 1, scan_chunk: int = 0):
         super().__init__()
         if c % 4 != 0:
             raise ConfigError(f"channel dimension must be divisible by 4, got {c}")
@@ -98,9 +97,7 @@ class SimbaModule(Module):
             ShiftSGcnBlock(c // 2, c // 4, rng),
             ShiftSGcnBlock(c // 4, d, rng),
         ]
-        self.imamba = IMambaBlock(v * d, w, rng, conv_kernel=conv_kernel,
-                                  norm_placement=norm_placement,
-                                  scan_chunk=scan_chunk) if with_imamba else None
+        self.imamba = IMambaBlock(v * d, w, rng, scan_chunk=scan_chunk) if with_imamba else None
         self.dec = [
             ShiftSGcnBlock(d, c // 4, rng),
             ShiftSGcnBlock(c // 4, c // 2, rng),
@@ -141,8 +138,7 @@ class SimbaModel(Module):
                  vertices: int, ssm_w: int, depth: int, num_classes: int,
                  rng: np.random.Generator, with_imamba: bool = True,
                  partition_labels: np.ndarray | None = None,
-                 tcn_radius: int = 1, conv_kernel: int = 4,
-                 norm_placement: str = "post", scan_chunk: int = 0):
+                 tcn_radius: int = 1, scan_chunk: int = 0):
         super().__init__()
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth}")
@@ -150,7 +146,6 @@ class SimbaModel(Module):
             SimbaModule(in_channels if i == 0 else channels, channels, mamba_d,
                         vertices, ssm_w, rng, with_imamba=with_imamba,
                         partition_labels=partition_labels, tcn_radius=tcn_radius,
-                        conv_kernel=conv_kernel, norm_placement=norm_placement,
                         scan_chunk=scan_chunk)
             for i in range(depth)
         ]

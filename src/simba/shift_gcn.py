@@ -87,6 +87,8 @@ SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
 
 def frame_shift(radius: int):
     """The temporal shift's (forward, adjoint) pair at ``radius``; None at radius 0."""
+    if radius < 0:
+        raise ShapeError(f"shift radius must be >= 0, got {radius}")
     if radius == 0:
         return None
     return (partial(_shift_frames, radius=radius, negate=False),
@@ -118,14 +120,12 @@ class ShiftTcnBlock(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator, radius: int = 1):
         super().__init__()
-        if radius < 0:
-            raise ShapeError(f"shift radius must be >= 0, got {radius}")
+        self.shift = frame_shift(radius)
         self.conv = PointwiseConv2d(channels, channels, rng)
         self.bn = BatchNorm2d(channels)
-        self.radius = radius
 
     def forward(self, x: Tensor) -> Tensor:
-        return _unit(x, self.conv, self.bn, frame_shift(self.radius))
+        return _unit(x, self.conv, self.bn, self.shift)
 
 
 class UnitTcnResidual(Module):

@@ -345,42 +345,32 @@ class SsmParams(Module):
 class IMambaBlock(Module):
     """Gated selective-scan layer with RMS norm and a residual connection.
 
-    Input and output are [N, T, Dp].  The scanned branch is a causal
+    Input and output are [N, T, Dp].  The scanned branch is a width-4 causal
     depthwise conv + SiLU; the gate branch is a plain linear + SiLU; their
-    product is projected back to Dp.  Norm placement is configurable:
-    'post' normalizes the projection before adding the residual, 'pre'
-    normalizes the block input instead.
+    product is projected back to Dp and RMS-normalized (post-norm) before
+    the residual is added.
     """
 
-    def __init__(self, dp: int, w: int, rng: np.random.Generator,
-                 conv_kernel: int = 4, norm_placement: str = "post",
-                 scan_chunk: int = 0):
+    def __init__(self, dp: int, w: int, rng: np.random.Generator, scan_chunk: int = 0):
         super().__init__()
-        if norm_placement not in ("post", "pre"):
-            raise DomainError(f"norm_placement must be 'post' or 'pre', got {norm_placement!r}")
         self.dp = dp
         self.ssm = SsmParams(dp, w, rng)
         self.in_proj_y = Linear(dp, dp, rng)
         self.in_proj_z = Linear(dp, dp, rng)
-        self.conv = CausalConv1d(dp, conv_kernel, rng)
+        self.conv = CausalConv1d(dp, 4, rng)
         self.out_proj = Linear(dp, dp, rng)
         self.norm = RMSNorm(dp)
-        self.norm_placement = norm_placement
         self.scan_chunk = scan_chunk
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dp:
             raise ShapeError(f"block configured for [N,T,{self.dp}], got {x.shape}")
-        u = self.norm(x) if self.norm_placement == "pre" else x
-        y = T.silu(self.conv(self.in_proj_y(u)))
-        z = T.silu(self.in_proj_z(u))
+        y = T.silu(self.conv(self.in_proj_y(x)))
+        z = T.silu(self.in_proj_z(x))
         ssm = self.ssm
-        args = (ssm.delta(u), ssm.a_cont(), ssm.w_b(u), ssm.w_c(u), y)
+        args = (ssm.delta(x), ssm.a_cont(), ssm.w_b(x), ssm.w_c(x), y)
         if self.scan_chunk > 1:
             s = selective_scan_parallel(*args, self.scan_chunk)
         else:
             s = selective_scan_sequential(*args)
-        gated = self.out_proj(s * z)
-        if self.norm_placement == "post":
-            gated = self.norm(gated)
-        return gated + x
+        return self.norm(self.out_proj(s * z)) + x

@@ -26,18 +26,17 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class SGD:
-    """Momentum SGD with optional Nesterov lookahead.
+    """SGD with Nesterov momentum: v = m·v + g, then p -= lr·(g + m·v).
 
     Weight decay touches only parameters flagged ``decay`` (conv/linear
     weights); a non-finite gradient aborts the step naming the parameter.
     """
 
     def __init__(self, named_params, momentum: float = 0.9,
-                 weight_decay: float = 0.0, nesterov: bool = True):
+                 weight_decay: float = 0.0):
         self._params = list(named_params)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity = {name: np.zeros_like(p.data) for name, p in self._params}
 
     def named_velocities(self):
@@ -59,8 +58,7 @@ class SGD:
             v = self._velocity[name]
             v *= self.momentum
             v += g
-            update = g + self.momentum * v if self.nesterov else v
-            p.data = p.data - lr * update
+            p.data = p.data - lr * (g + self.momentum * v)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -116,7 +114,6 @@ def build_model(cfg: TrainConfig, dataset: SkeletonDataset) -> SimbaModel:
         vertices=dataset.num_joints, ssm_w=cfg.ssm_W, depth=cfg.depth_l,
         num_classes=dataset.num_classes, rng=rng, with_imamba=cfg.with_imamba,
         partition_labels=labels, tcn_radius=cfg.temporal_shift_radius,
-        conv_kernel=cfg.conv_kernel, norm_placement=cfg.norm_placement,
         scan_chunk=cfg.scan_chunk)
     return model.astype(cfg.precision)
 
@@ -134,7 +131,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
     """
     dtype = model.parameters()[0].dtype
     opt = SGD(model.named_parameters(), momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay, nesterov=cfg.nesterov)
+              weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 0xD5])
     metrics = []
     best_acc = -1.0
@@ -226,13 +223,13 @@ def fuse_scores(streams):
     return fused, fused.argmax(axis=1)
 
 
-def save_scores(path, probs: np.ndarray, ids=None) -> None:
-    ids = list(range(len(probs))) if ids is None else list(ids)
+def save_scores(path, probs: np.ndarray) -> None:
+    """Write [N, K] probabilities as JSON; entry i has id i."""
     payload = {
         "version": 1,
         "num_classes": int(probs.shape[1]),
-        "entries": [{"id": int(i), "probs": [float(p) for p in row]}
-                    for i, row in zip(ids, probs)],
+        "entries": [{"id": i, "probs": [float(p) for p in row]}
+                    for i, row in enumerate(probs)],
     }
     with open(path, "w") as f:
         json.dump(payload, f)
@@ -240,12 +237,34 @@ def save_scores(path, probs: np.ndarray, ids=None) -> None:
 
 
 def load_scores(path):
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("version") != 1:
+    """Read a ``save_scores`` file; returns (probs [N, num_classes], ids).
+
+    Anything else fails closed with ``ValidationError`` naming the file, and
+    the row where there is one.
+    """
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValidationError(f"{path}: score file is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("version") != 1:
         raise ValidationError(f"{path}: unsupported score format")
-    ids = [e["id"] for e in payload["entries"]]
-    probs = np.array([e["probs"] for e in payload["entries"]], dtype=np.float64)
+    k, entries = payload.get("num_classes"), payload.get("entries")
+    if not isinstance(k, int) or k < 1 or not isinstance(entries, list):
+        raise ValidationError(f"{path}: score file needs a positive 'num_classes' "
+                              "and a list of 'entries'")
+    rows, ids = [], []
+    for i, e in enumerate(entries):
+        try:
+            row = np.asarray(e["probs"])
+            ids.append(e["id"])
+        except (KeyError, TypeError, ValueError) as exc:  # not a dict, a key missing, ragged
+            raise ValidationError(f"{path}: row {i} is not an entry with an 'id' and 'probs' "
+                                  f"({type(exc).__name__}: {exc})") from exc
+        if row.dtype.kind not in "iuf" or row.shape != (k,):
+            raise ValidationError(f"{path}: row {i} is not a list of num_classes = {k} numbers")
+        rows.append(row)
+    probs = np.array(rows, dtype=np.float64).reshape(len(rows), k)
     if probs.size:  # each comparison holds only for valid rows, so NaN and inf fail it
         ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
         if not np.all(ok):

@@ -158,7 +158,7 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     bad_cfg = tmp_path / "bad.json"
-    for bad in ({"base_lr": -1.0}, {"batch_size_train": 0}, {"conv_kernel": 0},
+    for bad in ({"base_lr": -1.0}, {"batch_size_train": 0}, {"window_T": 0},
                 {"mamba_D": 0}, {"ssm_W": 0}):
         bad_cfg.write_text(json.dumps(bad))
         assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
@@ -183,6 +183,27 @@ def test_missing_file_is_runtime_failure(tmp_path, capsys):
     assert run("eval", "--ckpt", str(tmp_path / "none.bin"),
                "--data", str(tmp_path / "none.skl"), "--scores",
                str(tmp_path / "s.json")) == 2
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"version": 1, "num_classes": 2, "entries": [{"id": 0, "probs": [0.5, 0.5]},
+                                                  {"id": 1, "probs": [1.0]}]},
+     "row 1 is not a list of num_classes = 2 numbers"),
+    ({"version": 1, "num_classes": 3, "entries": [{"id": 0, "probs": [0.5, 0.5]}]},
+     "row 0 is not a list of num_classes = 3 numbers"),
+    ({"version": 1, "num_classes": 2, "entries": [{"id": 0, "probs": ["0.5", "0.5"]}]},
+     "row 0 is not a list of num_classes = 2 numbers"),
+    ({"version": 1, "num_classes": 2}, "a list of 'entries'"),
+    ({"version": 1, "num_classes": 2, "entries": [{"id": 0}]}, "row 0 is not an entry"),
+    ([{"id": 0, "probs": [1.0]}], "unsupported score format"),
+    ("not json", "score file is not UTF-8 JSON"),
+], ids=["ragged", "width", "strings", "no_entries", "no_probs", "list", "text"])
+def test_fuse_rejects_malformed_score_files(tmp_path, capsys, payload, message):
+    path = tmp_path / "scores.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert run("fuse", str(path), "--labels", str(tmp_path / "labels.skl")) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and message in err
 
 
 def test_fuse_rejects_mismatched_streams(tmp_path, toy_data, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         read_checkpoint(truncated)
+    bad_name = tmp_path / "bad_name.bin"  # one float64 scalar entry named b"\xff\xfe"
+    bad_name.write_bytes(b"SBCP" + struct.pack("<HI", 1, 2) + b"{}" + struct.pack("<IH", 1, 2)
+                         + b"\xff\xfe" + struct.pack("<BB", 8, 0) + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError, match="entry name .* is not UTF-8"):
+        read_checkpoint(bad_name)

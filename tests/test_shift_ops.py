@@ -74,6 +74,8 @@ def test_shift_maps_reject_bad_input():
         temporal_shift(flat, 1)
     with pytest.raises(ShapeError, match="radius must be >= 0, got -1"):
         temporal_shift(np.zeros((1, 3, 4, 2)), -1)
+    with pytest.raises(ShapeError, match="radius must be >= 0, got -1"):
+        frame_shift(-1)
 
 
 def test_temporal_shift_index_oracle():

@@ -509,15 +509,6 @@ def test_imamba_lti_mode_matches_kernel_convolution():
         assert np.max(np.abs(scan_out[:, d] - ref)) <= 1e-10
 
 
-def test_imamba_prenorm_variant_runs():
-    rng = np.random.default_rng(13)
-    block = IMambaBlock(6, 3, rng, norm_placement="pre")
-    out = block(Tensor(rng.normal(size=(1, 4, 6))))
-    assert out.shape == (1, 4, 6)
-    with pytest.raises(DomainError):
-        IMambaBlock(6, 3, rng, norm_placement="middle")
-
-
 def test_ssm_params_invariants():
     rng = np.random.default_rng(14)
     params = SsmParams(5, 4, rng)

@@ -1,16 +1,21 @@
-"""The benchmark harness names program functions by string; each must resolve.
+"""Names that the program or its benchmark harness refer to by string must resolve.
 
 A rename in ``simba`` would otherwise zero a per-layer metric in silence
 (an unmatched span name) or break the benchmark run (a missing patch
-target), instead of failing here.
+target), instead of failing here.  Likewise every config field must be
+read somewhere, so that a field whose code path is deleted goes with it.
 """
 
+import dataclasses
 import importlib
 import re
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from simba.config import TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _resolve(dotted: str):
@@ -40,3 +45,12 @@ def test_perfbench_span_and_patch_names_resolve(monkeypatch):
         except AttributeError:
             missing.append(name)
     assert not missing, missing
+
+
+def test_every_config_field_is_read():
+    source = "\n".join(path.read_text() for path in sorted((ROOT / "src" / "simba").glob("*.py"))
+                       if path.name != "config.py")
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert len(fields) > 20
+    unread = [name for name in fields if not re.search(rf"\bcfg\.{name}\b", source)]
+    assert not unread, unread

@@ -54,7 +54,7 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="temporal_shift_radius"):
         TrainConfig(temporal_shift_radius=-1)
     for name in ("batch_size_train", "batch_size_eval", "window_T", "mamba_D", "ssm_W",
-                 "conv_kernel", "repeat_augmentation"):
+                 "repeat_augmentation"):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: 0})
 
@@ -99,23 +99,13 @@ def test_sgd_plain_step():
 def test_sgd_nesterov_two_step_hand_unroll():
     # m=0.9, wd=0, g=1, lr=1: v1=1, w -= 1.9; v2=1.9, w -= 2.71
     p = _param(0.0)
-    opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0, nesterov=True)
+    opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
     p.grad = np.array([1.0])
     opt.step(lr=1.0)
     np.testing.assert_allclose(p.data, [-1.9], atol=1e-15)
     p.grad = np.array([1.0])
     opt.step(lr=1.0)
     np.testing.assert_allclose(p.data, [-1.9 - 2.71], atol=1e-12)
-
-
-def test_sgd_heavy_ball_variant():
-    p = _param(0.0)
-    opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0, nesterov=False)
-    p.grad = np.array([1.0])
-    opt.step(lr=1.0)  # v=1, w -= 1
-    p.grad = np.array([1.0])
-    opt.step(lr=1.0)  # v=1.9, w -= 1.9
-    np.testing.assert_allclose(p.data, [-2.9], atol=1e-15)
 
 
 def test_weight_decay_skips_undecayed_parameters():
