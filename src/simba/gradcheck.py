@@ -172,9 +172,9 @@ def suite_primitives():
     run("causal_conv1d", lambda: _project(T.causal_conv1d_depthwise(xc, wc, bc), pcc),
         {"x": xc, "w": wc, "b": bc})
 
-    def conv_bn(training, shift, relu, skip=None):
+    def conv_bn(training, shift, relu, skip=None, post_skip=None):
         return lambda: _project(T.shift_conv_bn(xg, w, bias, gamma, beta, rm.copy(), rv.copy(),
-                                                training, shift, relu, skip), pc)
+                                                training, shift, relu, skip, post_skip), pc)
 
     gamma = Tensor(0.5 + rng.random(5), requires_grad=True)
     beta = _leaf(rng, (5,))
@@ -188,10 +188,23 @@ def suite_primitives():
     beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(5, -1))
     leaves = {"x": xg, "w": w, "b": bias, "gamma": gamma, "beta": beta}
     run("shift_conv_bn_train_relu", conv_bn(True, SPATIAL_SHIFT, True, skip), dict(leaves, skip=skip))
+    post = _leaf(np.random.default_rng(13), pc.shape)  # added after the ReLU: the kinks stay put
+    run("shift_conv_bn_post_skip", conv_bn(True, SPATIAL_SHIFT, True, skip, post),
+        dict(leaves, skip=skip, post_skip=post))
     run("shift_conv_bn_train", conv_bn(True, frame_shift(1), False), leaves)
     rm[:] = rng.normal(size=5)
     rv[:] = 0.5 + rng.random(5)
     run("shift_conv_bn_eval", conv_bn(False, None, False), leaves)
+
+    rng_pb = np.random.default_rng(14)  # own stream: the draws below stay put
+    xb = _leaf(rng_pb, (2, 3, 2, 5))
+    pz = _leaf(rng_pb, (2, 3, 2, 2))
+    gate_b = _leaf(rng_pb, (1, 3, 1, 1))
+    scatter = np.zeros((2, 5))
+    scatter[np.array([0, 0, 1, 1, 1]), np.arange(5)] = 1.0
+    pb = _projection(rng_pb, xb.shape)
+    run("partition_blend", lambda: _project(T.partition_blend(xb, pz, gate_b, scatter), pb),
+        {"x": xb, "pz": pz, "gate": gate_b})
 
     xr = _leaf(rng, (2, 3, 4))
     gr = _leaf(rng, (4,))

@@ -8,12 +8,16 @@ One module runs, per Algorithm-style composition:
     flatten each frame's vertex features into one [V*D] embedding
     gated selective-scan block over time (identity when ablated)
     unflatten back to [N, D, T, V]
-    decoder: three shift-GCNs D -> C/4 -> C/2 -> C, adding the encoder
-    skips from the matching depths
+    decoder: three shift-GCNs D -> C/4 -> C/2 -> C, each adding the encoder
+    skip of the matching depth after its ReLU
     exit: ReLU(unit-TCN residual of the module input + temporal shift block)
 
 Modules are stacked; a global average pool over (T, V) and a linear head
 produce the class logits.
+
+Every shift-GCN above is one ``tensor.shift_conv_bn`` graph node, a decoder
+unit's skip sum included, and the partition gate's scatter and blend are one
+``tensor.partition_blend`` node; the module exit is the residual unit's node.
 """
 
 from __future__ import annotations
@@ -48,7 +52,10 @@ class PartitionGate(Module):
     labels is the one-hot [V, K] membership matrix; pooling averages member
     joints, a pointwise conv mixes the pooled channels, and the result is
     scattered back to every member joint.  The learnable per-channel gate
-    interpolates between joint-level and group-level features.
+    interpolates between joint-level and group-level features:
+    x + (1 - gate)·(e - x), so a closed gate (or e == x) passes x through
+    bit-exactly.  The scatter and the blend are one ``tensor.partition_blend``
+    node.
     """
 
     def __init__(self, channels: int, labels: np.ndarray, rng: np.random.Generator):
@@ -71,12 +78,9 @@ class PartitionGate(Module):
         if v != self._labels.shape[0]:
             raise ShapeError(f"gate built for {self._labels.shape[0]} joints, got {v}")
         pool = Tensor(self._pool, dtype=x.dtype)
-        scatter = Tensor(self._labels.T.copy(), dtype=x.dtype)
+        scatter = np.ascontiguousarray(self._labels.T, dtype=x.dtype)
         z = x @ pool                      # [N, C, T, K] group means
-        e = self.proj(z) @ scatter        # broadcast back: [N, C, T, V]
-        # gate*x + (1-gate)*e, written so a closed gate (or e == x) passes
-        # x through bit-exactly
-        return x + (1.0 - self.gate) * (e - x)
+        return T.partition_blend(x, self.proj(z), self.gate, scatter)
 
 
 class SimbaModule(Module):
@@ -114,10 +118,11 @@ class SimbaModule(Module):
         return x4, (x_l, x2, x3)
 
     def decode(self, xn: Tensor, skips) -> Tensor:
+        """Run the up ladder; each unit adds its skip after its ReLU, in its own node."""
         x_l, x2, x3 = skips
-        x5 = self.dec[0](xn) + x3
-        x6 = self.dec[1](x5) + x2
-        return self.dec[2](x6) + x_l
+        x5 = self.dec[0](xn, x3)
+        x6 = self.dec[1](x5, x2)
+        return self.dec[2](x6, x_l)
 
     def forward(self, x_in: Tensor) -> Tensor:
         x_l = self.entry(x_in)

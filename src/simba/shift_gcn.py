@@ -9,10 +9,11 @@ ops: slice copies, one or two per class of channels that move alike, so
 they build no index arrays and cache nothing.
 
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
-batch-norm [+ skip] [-> ReLU], with the shift handed over as a (forward,
-adjoint) pair of these maps, ``SPATIAL_SHIFT`` or ``frame_shift(radius)``.
-In eval mode the node folds batch-norm into the conv, one GEMM plus a bias
-[plus skip and ReLU], and its backward recomputes x̂ only for the γ gradient.
+batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over as
+a (forward, adjoint) pair of these maps, ``SPATIAL_SHIFT`` or
+``frame_shift(radius)``.  In eval mode the node folds batch-norm into the
+conv, one GEMM plus a bias [plus skip, ReLU and post_skip], and its backward
+recomputes x̂ only for the γ gradient.
 """
 
 from __future__ import annotations
@@ -95,21 +96,25 @@ def frame_shift(radius: int):
             partial(_shift_frames, radius=radius, negate=True))
 
 
-def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu=False, skip=None) -> Tensor:
+def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu=False, skip=None,
+          post_skip=None) -> Tensor:
     return T.shift_conv_bn(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                           bn.training, shift, relu, skip, bn.momentum, bn.eps)
+                           bn.training, shift, relu, skip, post_skip, bn.momentum, bn.eps)
 
 
 class ShiftSGcnBlock(Module):
-    """Spatial shift -> pointwise conv -> BN -> ReLU, mapping Cin to Cout."""
+    """Spatial shift -> pointwise conv -> BN -> ReLU [+ post_skip], mapping Cin to Cout.
+
+    A decoder unit hands its encoder skip as ``post_skip``, added after the ReLU.
+    """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.conv = PointwiseConv2d(c_in, c_out, rng)
         self.bn = BatchNorm2d(c_out)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return _unit(x, self.conv, self.bn, SPATIAL_SHIFT, relu=True)
+    def forward(self, x: Tensor, post_skip: Tensor | None = None) -> Tensor:
+        return _unit(x, self.conv, self.bn, SPATIAL_SHIFT, relu=True, post_skip=post_skip)
 
 
 class ShiftTcnBlock(Module):

@@ -209,12 +209,17 @@ def _consumed(g):
                              "run the forward again to record a new graph")
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op result; records the graph only when grads are live."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = _records(parents)
     out.requires_grad = req
     if req:
         out._parents = tuple(parents)
@@ -530,17 +535,18 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
 
 
 def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: bool,
-                  shift=None, relu: bool = False, skip=None, momentum: float = 0.1,
-                  eps: float = 1e-5) -> Tensor:
-    """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] on x[N, Cin, T, V], one graph node.
+                  shift=None, relu: bool = False, skip=None, post_skip=None,
+                  momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] [+ post_skip] on x[N, Cin, T, V], one graph node.
 
     ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
     input before the conv, or None.  Batch-norm normalizes each output
     channel over the (N, T, V) axes: train mode uses the batch statistics
     and updates the running arrays in place (exponential moving average,
-    unbiased variance); eval mode uses the running statistics.  ``skip``,
-    None or a tensor of the output's shape, is added before the ReLU, so a
-    residual unit's ReLU(BN(conv(x)) + skip) is one node.
+    unbiased variance); eval mode uses the running statistics.  ``skip`` and
+    ``post_skip``, each None or a tensor of the output's shape, are added
+    before and after the ReLU, so a residual unit's ReLU(BN(conv(x)) + skip)
+    and a decoder unit's ReLU(BN(conv(x))) + post_skip are one node each.
 
     Train mode keeps x̂ (written over the conv output), the output and the
     per-channel 1/sqrt(var + eps) for the backward.  Eval mode is an affine
@@ -550,14 +556,17 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
     Its backward recomputes x̂ = (W·shift(x) + b - mean)/sqrt(var + eps)
     only when γ needs a gradient, and never divides by γ.  Both modes re-run
     the shift for the weight gradient instead of keeping the shifted input.
+    The ReLU mask is read from the output, except when ``post_skip`` is
+    added over it: then a recording node keeps the mask as a bool array.
     """
     x, w, b, gamma, beta = (_as_tensor(a) for a in (x, w, b, gamma, beta))
     _check_pointwise(x, w, b)
     n, ci, t, v = x.shape
     co = w.shape[0]
-    skip = None if skip is None else _as_tensor(skip)
-    if skip is not None and skip.shape != (n, co, t, v):
-        raise ShapeError(f"skip shape {skip.shape} != unit output shape {(n, co, t, v)}")
+    skip, post_skip = (None if s is None else _as_tensor(s) for s in (skip, post_skip))
+    for name, s in (("skip", skip), ("post_skip", post_skip)):
+        if s is not None and s.shape != (n, co, t, v):
+            raise ShapeError(f"{name} shape {s.shape} != unit output shape {(n, co, t, v)}")
     count = n * t * v
     if training and count < 2:
         raise DomainError(f"batch-norm train mode needs >=2 elements per channel, got {count}")
@@ -590,11 +599,19 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         out += skip.data.reshape(n, co, t * v)
     if relu:
         np.maximum(out, 0, out=out)
+    parents = tuple(p for p in (x, w, b, gamma, beta, skip, post_skip) if p is not None)
+    mask = None
+    if post_skip is not None:
+        if relu and _records(parents):
+            mask = out > 0
+        out += post_skip.data.reshape(n, co, t * v)
 
     def backward(g):
         g = g.reshape(n, co, t * v)
+        if post_skip is not None and post_skip.requires_grad:
+            post_skip._accumulate(g.reshape(post_skip.shape))  # copied: g is read again below
         if relu:
-            g = g * (out > 0)
+            g = g * (out > 0 if mask is None else mask)
         if skip is not None and skip.requires_grad:
             skip._accumulate(g.reshape(skip.shape))  # copied: g is read again below
         sum_g = g.sum(axis=(0, 2))
@@ -622,8 +639,44 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
             x._accumulate(gx if shift is None else shift[1](gx), owned=True)
 
-    parents = (x, w, b, gamma, beta) if skip is None else (x, w, b, gamma, beta, skip)
     return _make(out.reshape(n, co, t, v), parents, backward)
+
+
+def partition_blend(x, pz, gate, scatter: np.ndarray) -> Tensor:
+    """x + (1 - gate)·(pz @ scatter - x) on x[N, C, T, V], one graph node.
+
+    ``pz`` [N, C, T, K] holds per-group features, ``scatter`` [K, V] is the
+    constant membership matrix that copies each group back to its joints,
+    and ``gate`` [1, C, 1, 1] blends per channel: a closed gate (or
+    pz @ scatter == x) passes x through bit-exactly.  The forward runs the
+    composite's operations in its order, in place on e = pz @ scatter.  The
+    backward rebuilds e - x from ``pz`` for the gate's gradient, so the node
+    keeps no array of the output's size besides the output.
+    """
+    x, pz, gate = _as_tensor(x), _as_tensor(pz), _as_tensor(gate)
+    n, c, t, v = x.shape
+    k = scatter.shape[0]
+    if pz.shape != (n, c, t, k) or scatter.shape != (k, v) or gate.shape != (1, c, 1, 1):
+        raise ShapeError(f"partition blend expects x[N,C,T,V], pz[N,C,T,K], gate[1,C,1,1], "
+                         f"scatter[K,V]; got {x.shape}, {pz.shape}, {gate.shape}, {scatter.shape}")
+    open_ = 1.0 - gate.data
+    e = pz.data @ scatter
+    e -= x.data
+    e *= open_
+    e += x.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * gate.data, owned=True)
+        if pz.requires_grad:
+            pz._accumulate((g * open_) @ scatter.T, owned=True)
+        if gate.requires_grad:
+            diff = pz.data @ scatter
+            diff -= x.data
+            diff *= g
+            gate._accumulate(-_unbroadcast(diff, gate.shape), owned=True)
+
+    return _make(e, (x, pz, gate), backward)
 
 
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:

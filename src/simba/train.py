@@ -239,8 +239,8 @@ def save_scores(path, probs: np.ndarray) -> None:
 def load_scores(path):
     """Read a ``save_scores`` file; returns (probs [N, num_classes], ids).
 
-    Anything else fails closed with ``ValidationError`` naming the file, and
-    the row where there is one.
+    Anything else, a repeated id included, fails closed with
+    ``ValidationError`` naming the file, and the row where there is one.
     """
     try:
         with open(path) as f:
@@ -253,14 +253,16 @@ def load_scores(path):
     if not isinstance(k, int) or k < 1 or not isinstance(entries, list):
         raise ValidationError(f"{path}: score file needs a positive 'num_classes' "
                               "and a list of 'entries'")
-    rows, ids = [], []
+    rows, first_row = [], {}
     for i, e in enumerate(entries):
         try:
             row = np.asarray(e["probs"])
-            ids.append(e["id"])
-        except (KeyError, TypeError, ValueError) as exc:  # not a dict, a key missing, ragged
+            first = first_row.setdefault(e["id"], i)
+        except (KeyError, TypeError, ValueError) as exc:  # not a dict, a key missing, ragged, unhashable
             raise ValidationError(f"{path}: row {i} is not an entry with an 'id' and 'probs' "
                                   f"({type(exc).__name__}: {exc})") from exc
+        if first != i:
+            raise ValidationError(f"{path}: id {e['id']!r} is repeated in rows {first} and {i}")
         if row.dtype.kind not in "iuf" or row.shape != (k,):
             raise ValidationError(f"{path}: row {i} is not a list of num_classes = {k} numbers")
         rows.append(row)
@@ -270,4 +272,4 @@ def load_scores(path):
         if not np.all(ok):
             raise ValidationError(f"{path}: row {int(np.argmin(ok))} is not a probability "
                                   "vector summing to 1")
-    return probs, ids
+    return probs, list(first_row)

@@ -197,7 +197,10 @@ def test_missing_file_is_runtime_failure(tmp_path, capsys):
     ({"version": 1, "num_classes": 2, "entries": [{"id": 0}]}, "row 0 is not an entry"),
     ([{"id": 0, "probs": [1.0]}], "unsupported score format"),
     ("not json", "score file is not UTF-8 JSON"),
-], ids=["ragged", "width", "strings", "no_entries", "no_probs", "list", "text"])
+    ({"version": 1, "num_classes": 2, "entries": [{"id": 0, "probs": [0.5, 0.5]},
+                                                  {"id": 0, "probs": [1.0, 0.0]}]},
+     "id 0 is repeated in rows 0 and 1"),
+], ids=["ragged", "width", "strings", "no_entries", "no_probs", "list", "text", "repeated_id"])
 def test_fuse_rejects_malformed_score_files(tmp_path, capsys, payload, message):
     path = tmp_path / "scores.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))

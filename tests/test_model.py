@@ -208,6 +208,25 @@ def test_gate_rejects_invalid_partitions():
         PartitionGate(3, two_groups, rng)
 
 
+def test_gate_node_keeps_no_array_of_the_output_shape():
+    # the gate's gradient rebuilds e - x from the pooled features, which are
+    # a recorded parent, so only the output holds an [N, C, T, V] array
+    rng = np.random.default_rng(14)
+    gate = PartitionGate(4, _labels(5, [0, 0, 1, 1, 2]), rng)
+    x = Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
+    out = gate(x)
+    assert out._backward.__qualname__ == "partition_blend.<locals>.backward"
+    assert out._parents[0] is x and out._parents[2] is gate.gate
+    held = []
+    for cell in out._backward.__closure__:
+        value = cell.cell_contents
+        if isinstance(value, Tensor) and value not in out._parents:
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value.shape)
+    assert held and out.shape not in held, held
+
+
 def test_gate_enabled_module_forward():
     rng = np.random.default_rng(13)
     module = SimbaModule(3, 8, 2, 4, 2, rng, partition_labels=_labels(4, [0, 0, 1, 1]))

@@ -346,6 +346,21 @@ def test_shift_sgcn_node_keeps_xhat_only_in_train_mode(training):
     assert len(extra) == (1 if training else 0), [a.shape for a in extra]
 
 
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_decoder_unit_keeps_a_bool_relu_mask(training):
+    # the skip added after the ReLU hides the mask in the output, so the node
+    # keeps it as a bool array, besides x̂ in train mode, and no float copy
+    rng = np.random.default_rng(29)
+    block = ShiftSGcnBlock(4, 6, rng)
+    block.train(training)
+    x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
+    skip = Tensor(rng.normal(size=(2, 6, 5, 3)), requires_grad=True)
+    out = block(x, skip)
+    assert _op_nodes(out) == 1 and out._parents[-1] is skip
+    extra = [a.dtype for a in _held_arrays(out) if a.size == out.size and not np.shares_memory(a, out.data)]
+    assert sorted(map(str, extra)) == (["bool", "float64"] if training else ["bool"]), extra
+
+
 def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():
     rng = np.random.default_rng(28)
     block = ShiftTcnBlock(6, rng)

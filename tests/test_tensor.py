@@ -269,6 +269,69 @@ def test_fanout_into_two_shift_units_matches_composite_float64():
     assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12
 
 
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_shift_conv_bn_post_skip_is_the_unit_plus_a_sum_float32(training):
+    # the skip added after the ReLU inside the node gives the same bits as a
+    # separate add node, in the output and in every gradient
+    rng = np.random.default_rng(19)
+    n, ci, co, t, v = 2, 7, 5, 6, 4
+    arrays = [rng.normal(size=s).astype(np.float32)
+              for s in ((n, ci, t, v), (co, ci), (co,), (co,), (co,), (n, co, t, v))]
+    rm0, rv0 = rng.normal(size=co).astype(np.float32), (0.5 + rng.random(co)).astype(np.float32)
+    weights = rng.normal(size=(n, co, t, v)).astype(np.float32)
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        rm, rv = rm0.copy(), rv0.copy()
+        unit = (*leaves[:5], rm, rv, training, SPATIAL_SHIFT, True)
+        if fused:
+            out = T.shift_conv_bn(*unit, post_skip=leaves[5])
+        else:
+            out = T.shift_conv_bn(*unit) + leaves[5]
+        (out * weights).sum().backward()
+        results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
+    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "dpost_skip", "running_mean", "running_var")
+    for name, fused, composite in zip(names, *results):
+        assert fused.dtype == np.float32 and np.array_equal(fused, composite), name
+
+
+def test_shift_conv_bn_rejects_a_post_skip_of_another_shape():
+    x, w, b = np.ones((2, 3, 4, 5)), np.ones((6, 3)), np.zeros(6)
+    with pytest.raises(ShapeError, match="post_skip shape"):
+        T.shift_conv_bn(x, w, b, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
+                        post_skip=np.ones((2, 3, 4, 5)))
+
+
+def _partition_blend_composite(x, pz, gate, scatter):
+    """The partition gate's blend as the gate built it before fusion: one node per op."""
+    e = pz @ Tensor(scatter, dtype=x.dtype)
+    return x + (1.0 - gate) * (e - x)
+
+
+def test_partition_blend_matches_composite_float64():
+    rng = np.random.default_rng(18)
+    n, c, t, v, k = 2, 4, 3, 6, 3
+    scatter = np.zeros((k, v))
+    scatter[np.array([0, 0, 1, 1, 2, 2]), np.arange(v)] = 1.0
+    arrays = (rng.normal(size=(n, c, t, v)), rng.normal(size=(n, c, t, k)), rng.random((1, c, 1, 1)))
+    weights = rng.normal(size=(n, c, t, v))
+    results = []
+    for op in (T.partition_blend, _partition_blend_composite):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves, scatter)
+        (out * weights).sum().backward()
+        results.append((out.data, *(leaf.grad for leaf in leaves)))
+    assert np.array_equal(results[0][0], results[1][0])
+    for name, fused, composite in zip(("dx", "dpz", "dgate"), *(r[1:] for r in results)):
+        assert np.max(np.abs(fused - composite)) <= 1e-12 * np.max(np.abs(composite)), name
+
+
+def test_partition_blend_rejects_mismatched_shapes():
+    x, pz, gate = np.ones((2, 3, 4, 5)), np.ones((2, 3, 4, 2)), np.ones((1, 3, 1, 1))
+    with pytest.raises(ShapeError, match="partition blend"):
+        T.partition_blend(x, pz, gate, np.ones((3, 5)))
+
+
 @pytest.mark.parametrize("unit", ["spatial_relu", "temporal_r1"])
 def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
     # the folded GEMM rounds W·scale once more than conv-then-normalize does;

@@ -310,6 +310,23 @@ def test_backward_peak_stays_near_the_forward_graph():
     assert peak <= 1.5 * live, (live, peak)
 
 
+@pytest.mark.parametrize("preset, depth, nodes", [("toy", 2, 84), ("ntu60", 1, 47)])
+def test_train_step_records_fused_glue(preset, depth, nodes):
+    # each partition gate is a matmul, a conv and one blend node, and each
+    # decoder unit adds its skip inside its own node; the composites took 90
+    # nodes on toy and 56 at ntu60 depth 1
+    from simba.data import assemble_batch
+    cfg = PRESETS[preset]()
+    cfg.depth_l = depth
+    ds = (synth_generate(4, 2, v=8, t_raw=48, seed=0) if preset == "toy"
+          else synth_generate(3, 1, v=25, t_raw=80, seed=0, partitions=5))
+    model = build_model(cfg, ds)
+    x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
+                          dtype=model.parameters()[0].dtype)
+    loss = cross_entropy_logits(model(Tensor(x)), y)
+    assert sum(node._backward is not None for node in T._toposort(loss)) == nodes
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
 def test_train_step_reuses_the_heap():
     # importing simba keeps freed arrays in glibc's heap, so a warm train step
