@@ -126,7 +126,8 @@ def load_checkpoint(path, model, optimizer=None) -> dict:
     unknown = sorted(stored_params - set(params))
     if missing or unknown:
         raise ValidationError(
-            f"checkpoint does not match model: missing={missing[:5]} unknown={unknown[:5]}")
+            f"checkpoint does not match model: {len(missing)} missing, first {missing[:5]}; "
+            f"{len(unknown)} unknown, first {unknown[:5]}")
 
     for name, p in params.items():
         arr = entries["param/" + name]

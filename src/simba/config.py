@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -43,8 +44,14 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 < self.lr_decay_rate <= 1:
+            raise ConfigError(f"lr_decay_rate must lie in (0, 1], got {self.lr_decay_rate}")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
         ms = list(self.milestones)

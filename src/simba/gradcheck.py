@@ -173,7 +173,7 @@ def suite_primitives():
         {"x": xc, "w": wc, "b": bc})
 
     def conv_bn(training, shift, relu, skip=None, post_skip=None):
-        return lambda: _project(T.shift_conv_bn(xg, w, bias, gamma, beta, rm.copy(), rv.copy(),
+        return lambda: _project(T.shift_conv_bn(xg, w, gamma, beta, rm.copy(), rv.copy(),
                                                 training, shift, relu, skip, post_skip), pc)
 
     gamma = Tensor(0.5 + rng.random(5), requires_grad=True)
@@ -183,10 +183,10 @@ def suite_primitives():
     # move each channel's ReLU threshold into the widest gap between its
     # pre-activations, so no difference quotient straddles the kink
     with T.no_grad():
-        pre = T.shift_conv_bn(xg, w, bias, gamma, beta, rm.copy(), rv.copy(), True, SPATIAL_SHIFT,
+        pre = T.shift_conv_bn(xg, w, gamma, beta, rm.copy(), rv.copy(), True, SPATIAL_SHIFT,
                               skip=skip)
     beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(5, -1))
-    leaves = {"x": xg, "w": w, "b": bias, "gamma": gamma, "beta": beta}
+    leaves = {"x": xg, "w": w, "gamma": gamma, "beta": beta}
     run("shift_conv_bn_train_relu", conv_bn(True, SPATIAL_SHIFT, True, skip), dict(leaves, skip=skip))
     post = _leaf(np.random.default_rng(13), pc.shape)  # added after the ReLU: the kinks stay put
     run("shift_conv_bn_post_skip", conv_bn(True, SPATIAL_SHIFT, True, skip, post),

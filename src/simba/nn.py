@@ -174,10 +174,11 @@ class BatchNorm2d(Module):
     """Batch-norm state: the affine gain and shift plus the running statistics.
 
     The normalization itself runs inside ``tensor.shift_conv_bn``, fused
-    with the conv that feeds it.  In eval mode that op folds these arrays
-    into the conv weight and bias (scale = γ/sqrt(running_var + eps)) on
-    each call, without rewriting them, and recomputes x̂ in backward only
-    for the γ gradient.
+    with the bias-free conv that feeds it.  In eval mode that op folds these
+    arrays into the conv weight and a per-channel shift (scale =
+    γ/sqrt(running_var + eps), shift β - running_mean·scale) on each call,
+    without rewriting them, and recomputes x̂ in backward only for the γ
+    gradient.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):

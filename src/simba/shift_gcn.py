@@ -11,9 +11,11 @@ they build no index arrays and cache nothing.
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
 batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over as
 a (forward, adjoint) pair of these maps, ``SPATIAL_SHIFT`` or
-``frame_shift(radius)``.  In eval mode the node folds batch-norm into the
-conv, one GEMM plus a bias [plus skip, ReLU and post_skip], and its backward
-recomputes x̂ only for the γ gradient.
+``frame_shift(radius)``.  Each block owns its conv weight ``w`` [Cout, Cin]
+and no conv bias, which the batch-norm after it would cancel.  In eval mode
+the node folds batch-norm into the conv, one GEMM plus a per-channel shift
+[plus skip, ReLU and post_skip], and its backward recomputes x̂ only for
+the γ gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .nn import BatchNorm2d, Module, PointwiseConv2d
+from .nn import BatchNorm2d, Module, Parameter, uniform_init
 from .tensor import Tensor
 
 
@@ -96,29 +98,29 @@ def frame_shift(radius: int):
             partial(_shift_frames, radius=radius, negate=True))
 
 
-def _unit(x: Tensor, conv: PointwiseConv2d, bn: BatchNorm2d, shift, relu=False, skip=None,
+def _unit(x: Tensor, w: Parameter, bn: BatchNorm2d, shift, relu=False, skip=None,
           post_skip=None) -> Tensor:
-    return T.shift_conv_bn(x, conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+    return T.shift_conv_bn(x, w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
                            bn.training, shift, relu, skip, post_skip, bn.momentum, bn.eps)
 
 
 class ShiftSGcnBlock(Module):
-    """Spatial shift -> pointwise conv -> BN -> ReLU [+ post_skip], mapping Cin to Cout.
+    """Spatial shift -> bias-free pointwise conv ``w`` -> BN -> ReLU [+ post_skip], Cin to Cout.
 
     A decoder unit hands its encoder skip as ``post_skip``, added after the ReLU.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = PointwiseConv2d(c_in, c_out, rng)
+        self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x: Tensor, post_skip: Tensor | None = None) -> Tensor:
-        return _unit(x, self.conv, self.bn, SPATIAL_SHIFT, relu=True, post_skip=post_skip)
+        return _unit(x, self.w, self.bn, SPATIAL_SHIFT, relu=True, post_skip=post_skip)
 
 
 class ShiftTcnBlock(Module):
-    """Temporal shift -> pointwise conv -> BN; shape-preserving, no activation.
+    """Temporal shift -> bias-free pointwise conv ``w`` -> BN; shape-preserving, no activation.
 
     Its output is the ``skip`` of the module exit, ``UnitTcnResidual``.
     """
@@ -126,20 +128,21 @@ class ShiftTcnBlock(Module):
     def __init__(self, channels: int, rng: np.random.Generator, radius: int = 1):
         super().__init__()
         self.shift = frame_shift(radius)
-        self.conv = PointwiseConv2d(channels, channels, rng)
+        self.w = Parameter(uniform_init(rng, (channels, channels), channels), decay=True)
         self.bn = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return _unit(x, self.conv, self.bn, self.shift)
+        return _unit(x, self.w, self.bn, self.shift)
 
 
 class UnitTcnResidual(Module):
-    """Pointwise conv + BN residual, Cin to Cout; given ``skip``, ReLU(BN(conv(x)) + skip)."""
+    """Bias-free pointwise conv ``w`` + BN residual, Cin to Cout; given ``skip``,
+    ReLU(BN(conv(x)) + skip)."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = PointwiseConv2d(c_in, c_out, rng)
+        self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
-        return _unit(x, self.conv, self.bn, None, skip is not None, skip)
+        return _unit(x, self.w, self.bn, None, skip is not None, skip)

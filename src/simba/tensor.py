@@ -455,13 +455,11 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # structured ops
 # ---------------------------------------------------------------------------
 
-def _check_pointwise(x, w, b) -> None:
+def _check_pointwise(x, w) -> None:
     if x.ndim != 4 or w.ndim != 2:
         raise ShapeError(f"pointwise conv expects x[N,C,T,V], w[Cout,Cin]; got {x.shape}, {w.shape}")
     if w.shape[1] != x.shape[1]:
         raise ShapeError(f"channel mismatch: x has {x.shape} but w has {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
 
 
 def _pointwise_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -480,7 +478,9 @@ def pointwise_conv2d(x, w, b) -> Tensor:
     out[n,o,t,v] = b[o] + sum_i w[o,i] * x[n,i,t,v]
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    _check_pointwise(x, w, b)
+    _check_pointwise(x, w)
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
     n, ci, t, v = x.shape
     co = w.shape[0]
     data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
@@ -534,33 +534,36 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: bool,
+def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
                   shift=None, relu: bool = False, skip=None, post_skip=None,
                   momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] [+ post_skip] on x[N, Cin, T, V], one graph node.
 
     ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
-    input before the conv, or None.  Batch-norm normalizes each output
-    channel over the (N, T, V) axes: train mode uses the batch statistics
-    and updates the running arrays in place (exponential moving average,
-    unbiased variance); eval mode uses the running statistics.  ``skip`` and
-    ``post_skip``, each None or a tensor of the output's shape, are added
-    before and after the ReLU, so a residual unit's ReLU(BN(conv(x)) + skip)
-    and a decoder unit's ReLU(BN(conv(x))) + post_skip are one node each.
+    input before the conv, or None.  The conv has no bias: train-mode
+    batch-norm subtracts the batch mean, which cancels any bias added before
+    it (Ioffe & Szegedy 2015, §3.2), and β shifts the output instead.
+    Batch-norm normalizes each output channel over the (N, T, V) axes: train
+    mode uses the batch statistics and updates the running arrays in place
+    (exponential moving average, unbiased variance); eval mode uses the
+    running statistics.  ``skip`` and ``post_skip``, each None or a tensor
+    of the output's shape, are added before and after the ReLU, so a
+    residual unit's ReLU(BN(conv(x)) + skip) and a decoder unit's
+    ReLU(BN(conv(x))) + post_skip are one node each.
 
     Train mode keeps x̂ (written over the conv output), the output and the
     per-channel 1/sqrt(var + eps) for the backward.  Eval mode is an affine
     map, so it folds batch-norm into the conv (Jacob et al. 2018, §3.2):
     with scale = γ/sqrt(var + eps) it runs one GEMM with W·scale, then the
-    bias (b - mean)·scale + β, the skip and the ReLU in place; no x̂.
-    Its backward recomputes x̂ = (W·shift(x) + b - mean)/sqrt(var + eps)
+    bias β - mean·scale, the skip and the ReLU in place; no x̂.
+    Its backward recomputes x̂ = (W·shift(x) - mean)/sqrt(var + eps)
     only when γ needs a gradient, and never divides by γ.  Both modes re-run
     the shift for the weight gradient instead of keeping the shifted input.
     The ReLU mask is read from the output, except when ``post_skip`` is
     added over it: then a recording node keeps the mask as a bool array.
     """
-    x, w, b, gamma, beta = (_as_tensor(a) for a in (x, w, b, gamma, beta))
-    _check_pointwise(x, w, b)
+    x, w, gamma, beta = (_as_tensor(a) for a in (x, w, gamma, beta))
+    _check_pointwise(x, w)
     n, ci, t, v = x.shape
     co = w.shape[0]
     skip, post_skip = (None if s is None else _as_tensor(s) for s in (skip, post_skip))
@@ -576,7 +579,6 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
 
     if training:
         xhat = np.matmul(w.data, conv_input())
-        xhat += b.data[:, None]
         mean = xhat.mean(axis=(0, 2))
         xhat -= mean[:, None]
         var = (xhat * xhat).mean(axis=(0, 2))
@@ -593,13 +595,13 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         inv = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + eps)
         scale = gamma.data * inv
         out = np.matmul(w.data * scale[:, None], conv_input())
-        out += ((b.data - mean) * scale + beta.data)[:, None]
+        out += (beta.data - mean * scale)[:, None]
         xhat = None
     if skip is not None:
         out += skip.data.reshape(n, co, t * v)
     if relu:
         np.maximum(out, 0, out=out)
-    parents = tuple(p for p in (x, w, b, gamma, beta, skip, post_skip) if p is not None)
+    parents = tuple(p for p in (x, w, gamma, beta, skip, post_skip) if p is not None)
     mask = None
     if post_skip is not None:
         if relu and _records(parents):
@@ -627,12 +629,10 @@ def shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training: boo
         else:
             if gamma.requires_grad:  # x̂ is recomputed, not kept
                 z = np.matmul(w.data, conv_input())
-                z += (b.data - mean)[:, None]
+                z -= mean[:, None]
                 z *= inv[:, None]
                 gamma._accumulate(np.einsum("nck,nck->c", g, z), owned=True)
             gz = g * (gamma.data * inv)[:, None]
-        if b.requires_grad:
-            b._accumulate(gz.sum(axis=(0, 2)), owned=True)
         if w.requires_grad:
             w._accumulate(_pointwise_weight_grad(gz, conv_input()), owned=True)
         if x.requires_grad:

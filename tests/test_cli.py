@@ -93,6 +93,26 @@ def test_eval_rejects_malformed_checkpoint_meta(tmp_path, toy_config, toy_data, 
         assert message in capsys.readouterr().err
 
 
+def test_eval_rejects_a_checkpoint_with_a_conv_bias(tmp_path, toy_config, toy_data, capsys):
+    # shift units have no conv bias; a checkpoint that holds one fails closed,
+    # counting the stray entries beside their names
+    out = tmp_path / "run"
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--out", str(out), "--quiet") == 0
+    raw = (out / "checkpoint.bin").read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[6:10])
+    at = 10 + meta_len
+    (count,) = struct.unpack("<I", raw[at:at + 4])
+    name = b"param/modules_.0.entry.conv.b"
+    entry = struct.pack("<H", len(name)) + name + struct.pack("<BBI", 8, 1, 32) + bytes(8 * 32)
+    stale = tmp_path / "stale.bin"
+    stale.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + entry)
+    capsys.readouterr()
+    assert run("eval", "--ckpt", str(stale), "--data", str(toy_data),
+               "--scores", str(tmp_path / "s.json")) == 1
+    assert "0 missing, first []; 1 unknown, first ['modules_.0.entry.conv.b']" in capsys.readouterr().err
+
+
 def test_eval_modality_defaults_to_the_checkpoints(tmp_path, toy_config, toy_data, capsys):
     out = tmp_path / "run"
     assert run("train", "--config", str(toy_config), "--data", str(toy_data),
@@ -158,12 +178,12 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     bad_cfg = tmp_path / "bad.json"
-    for bad in ({"base_lr": -1.0}, {"batch_size_train": 0}, {"window_T": 0},
-                {"mamba_D": 0}, {"ssm_W": 0}):
+    for bad in ({"base_lr": -1.0}, {"base_lr": float("nan")}, {"batch_size_train": 0},
+                {"window_T": 0}, {"mamba_D": 0}, {"ssm_W": 0}):
         bad_cfg.write_text(json.dumps(bad))
         assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
                    "--out", str(tmp_path / "o")) == 1, bad
-        assert "error" in capsys.readouterr().err
+        assert f"error: {next(iter(bad))}" in capsys.readouterr().err
     assert run("bench-scan", "--chunks", "0") == 1
 
 

@@ -71,8 +71,7 @@ def test_decoder_zeroed_convs_leave_only_skips():
     rng = np.random.default_rng(2)
     module = SimbaModule(3, 8, 2, 4, 2, rng)
     for block in module.dec:
-        block.conv.w.data[:] = 0.0
-        block.conv.b.data[:] = 0.0
+        block.w.data[:] = 0.0
     xn = Tensor(rng.normal(size=(1, 2, 3, 4)))
     skips = (Tensor(rng.normal(size=(1, 8, 3, 4))),
              Tensor(rng.normal(size=(1, 4, 3, 4))),
@@ -112,7 +111,7 @@ def test_skip_paths_carry_gradient_when_u_interior_is_zeroed():
     rng = np.random.default_rng(5)
     module = SimbaModule(3, 8, 2, 4, 2, rng)
     for block in list(module.enc) + list(module.dec):
-        block.conv.w.data[:] = 0.0
+        block.w.data[:] = 0.0
     for _, p in module.imamba.named_parameters():
         if p.data.ndim == 2:
             p.data[:] = 0.0

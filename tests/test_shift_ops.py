@@ -112,8 +112,7 @@ def test_temporal_shift_boundary_mass_accounting():
 def test_shift_sgcn_identity_conv_passthrough():
     rng = np.random.default_rng(6)
     block = ShiftSGcnBlock(3, 3, rng)
-    block.conv.w.data[:] = np.eye(3)
-    block.conv.b.data[:] = 0.0
+    block.w.data[:] = np.eye(3)
     block.eval()  # running stats are mean 0 / var 1 -> BN ~ identity at eps=0
     block.bn.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
@@ -152,8 +151,7 @@ def test_shift_tcn_shape_preserving():
 def test_shift_tcn_identity_configuration():
     rng = np.random.default_rng(11)
     block = ShiftTcnBlock(3, rng, radius=0)
-    block.conv.w.data[:] = np.eye(3)
-    block.conv.b.data[:] = 0.0
+    block.w.data[:] = np.eye(3)
     block.eval()
     block.bn.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
@@ -323,7 +321,7 @@ def test_shift_sgcn_node_keeps_no_shifted_input():
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     out = block(x)
     assert _op_nodes(out) == 1
-    params = (block.conv.w, block.conv.b, block.bn.gamma, block.bn.beta)
+    params = (block.w, block.bn.gamma, block.bn.beta)
     assert out._parents == (x, *params)
     held = [a.shape for a in _held_arrays(out)]
     assert held and all(np.prod(shape) != x.size for shape in held), held

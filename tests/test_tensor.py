@@ -79,8 +79,7 @@ def _bn(x, gamma, beta, running_mean, running_var, training, **kw):
     """Batch-norm alone: the fused op with an identity conv, no shift and no ReLU."""
     c = x.shape[1]
     w = Tensor(np.eye(c), requires_grad=True, dtype=x.dtype)
-    b = Tensor(np.zeros(c), requires_grad=True, dtype=x.dtype)
-    return T.shift_conv_bn(x, w, b, gamma, beta, running_mean, running_var, training, **kw)
+    return T.shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training, **kw)
 
 
 def test_batchnorm_eval_constant_input_is_zeroed():
@@ -190,10 +189,15 @@ def _relu_node(x):
     return T._make(np.maximum(x.data, 0.0), (x,), backward)
 
 
-def _shift_conv_bn_composite(x, w, b, gamma, beta, running_mean, running_var, training,
-                             shift, relu, skip=None):
-    """The unit as the blocks built it before fusion: one node per step."""
-    out = T.pointwise_conv2d(_shift_node(shift, x) if shift else x, w, b)
+def _shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, training,
+                             shift, relu, skip=None, conv_bias=None):
+    """The unit as the blocks built it before fusion: one node per step.
+
+    The conv bias is a constant zero unless ``conv_bias`` is given.
+    """
+    if conv_bias is None:
+        conv_bias = Tensor(np.zeros(w.shape[0]), dtype=x.dtype)
+    out = T.pointwise_conv2d(_shift_node(shift, x) if shift else x, w, conv_bias)
     out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
     out = out if skip is None else out + skip
     return _relu_node(out) if relu else out
@@ -215,12 +219,13 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     rng = np.random.default_rng(15)
     n, ci, co, t, v = 2, 7, 5, 6, 4
     x0 = rng.normal(0.3, 1.4, size=(n, ci, t, v))
-    w0, b0 = rng.normal(size=(co, ci)), rng.normal(size=co)
+    w0 = rng.normal(size=(co, ci))
+    rng.normal(size=co)  # drawn and unused: keeps the seeded arrays below
     g0, beta0 = rng.normal(size=co), rng.normal(size=co)
     g0[1] = 0.0  # the eval backward recomputes x̂ for dγ rather than dividing by γ
     rm0, rv0 = rng.normal(size=co), 0.5 + rng.random(co)
     weights = rng.normal(size=(n, co, t, v))
-    arrays = (x0, w0, b0, g0, beta0)
+    arrays = (x0, w0, g0, beta0)
     if unit == "residual_exit":
         arrays += (rng.normal(size=(n, co, t, v)),)
     results = []
@@ -228,18 +233,44 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
         unit_fn = T.shift_conv_bn if fused else _shift_conv_bn_composite
-        out = unit_fn(*leaves[:5], rm, rv, training, pair, relu, *leaves[5:])
+        out = unit_fn(*leaves[:4], rm, rv, training, pair, relu, *leaves[4:])
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
-    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "dskip")[:len(arrays) + 1]
+    names = ("out", "dx", "dw", "dgamma", "dbeta", "dskip")[:len(arrays) + 1]
     for name, fused, composite in zip(names + ("running_mean", "running_var"), *results):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
 
 
+@pytest.mark.parametrize("unit", sorted(UNITS))
+def test_train_mode_batch_norm_cancels_a_conv_bias_float64(unit):
+    # why the unit has no conv bias: the batch mean absorbs it, so the
+    # composite with a nonzero bias gives the fused op's output and gradients
+    pair, relu = UNITS[unit]
+    rng = np.random.default_rng(20)
+    n, ci, co, t, v = 2, 7, 5, 6, 4
+    arrays = [rng.normal(size=s) for s in ((n, ci, t, v), (co, ci), (co,), (co,))]
+    if unit == "residual_exit":
+        arrays.append(rng.normal(size=(n, co, t, v)))
+    conv_bias = Tensor(rng.normal(size=co))
+    weights = rng.normal(size=(n, co, t, v))
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        unit_args = (*leaves[:4], np.zeros(co), np.ones(co), True, pair, relu, *leaves[4:])
+        if fused:
+            out = T.shift_conv_bn(*unit_args)
+        else:
+            out = _shift_conv_bn_composite(*unit_args, conv_bias=conv_bias)
+        (out * weights).sum().backward()
+        results.append((out.data, *(leaf.grad for leaf in leaves)))
+    for name, fused, composite in zip(("out", "dx", "dw", "dgamma", "dbeta", "dskip"), *results):
+        assert np.max(np.abs(fused - composite)) <= 1e-12, name
+
+
 def test_shift_conv_bn_rejects_a_skip_of_another_shape():
-    x, w, b = np.ones((2, 3, 4, 5)), np.ones((6, 3)), np.zeros(6)
+    x, w = np.ones((2, 3, 4, 5)), np.ones((6, 3))
     with pytest.raises(ShapeError, match="skip shape"):
-        T.shift_conv_bn(x, w, b, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
+        T.shift_conv_bn(x, w, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
                         skip=np.ones((2, 3, 4, 5)))
 
 
@@ -250,6 +281,8 @@ def test_fanout_into_two_shift_units_matches_composite_float64():
     n, ci, co, t, v = 2, 6, 5, 6, 4
     x0 = rng.normal(size=(n, ci, t, v))
     params = [[rng.normal(size=s) for s in ((co, ci), co, co, co)] for _ in range(2)]
+    for arrays in params:
+        del arrays[1]  # the conv bias: drawn and unused, so the arrays after it stay put
     weights = rng.normal(size=(n, co, t, v))
     grads = []
     for fused in (True, False):
@@ -277,28 +310,29 @@ def test_shift_conv_bn_post_skip_is_the_unit_plus_a_sum_float32(training):
     n, ci, co, t, v = 2, 7, 5, 6, 4
     arrays = [rng.normal(size=s).astype(np.float32)
               for s in ((n, ci, t, v), (co, ci), (co,), (co,), (co,), (n, co, t, v))]
+    del arrays[2]  # the conv bias: drawn and unused, so the arrays after it stay put
     rm0, rv0 = rng.normal(size=co).astype(np.float32), (0.5 + rng.random(co)).astype(np.float32)
     weights = rng.normal(size=(n, co, t, v)).astype(np.float32)
     results = []
     for fused in (True, False):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
-        unit = (*leaves[:5], rm, rv, training, SPATIAL_SHIFT, True)
+        unit = (*leaves[:4], rm, rv, training, SPATIAL_SHIFT, True)
         if fused:
-            out = T.shift_conv_bn(*unit, post_skip=leaves[5])
+            out = T.shift_conv_bn(*unit, post_skip=leaves[4])
         else:
-            out = T.shift_conv_bn(*unit) + leaves[5]
+            out = T.shift_conv_bn(*unit) + leaves[4]
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
-    names = ("out", "dx", "dw", "db", "dgamma", "dbeta", "dpost_skip", "running_mean", "running_var")
+    names = ("out", "dx", "dw", "dgamma", "dbeta", "dpost_skip", "running_mean", "running_var")
     for name, fused, composite in zip(names, *results):
         assert fused.dtype == np.float32 and np.array_equal(fused, composite), name
 
 
 def test_shift_conv_bn_rejects_a_post_skip_of_another_shape():
-    x, w, b = np.ones((2, 3, 4, 5)), np.ones((6, 3)), np.zeros(6)
+    x, w = np.ones((2, 3, 4, 5)), np.ones((6, 3))
     with pytest.raises(ShapeError, match="post_skip shape"):
-        T.shift_conv_bn(x, w, b, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
+        T.shift_conv_bn(x, w, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), True,
                         post_skip=np.ones((2, 3, 4, 5)))
 
 
@@ -342,14 +376,14 @@ def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
     n, ci, co, t, v = 2, 216, 108, 16, 25
     x0 = rng.normal(0.2, 1.0, size=(n, ci, t, v))
     w0 = rng.normal(0.0, np.sqrt(2.0 / ci), size=(co, ci))
-    b0 = rng.normal(0.0, 0.05, size=co)
-    conv = np.matmul(w0, (pair[0](x0) if pair else x0).reshape(n, ci, t * v)) + b0[:, None]
+    rng.normal(0.0, 0.05, size=co)  # drawn and unused: keeps the seeded arrays below
+    conv = np.matmul(w0, (pair[0](x0) if pair else x0).reshape(n, ci, t * v))
     rm0 = conv.mean(axis=(0, 2)) + rng.normal(0.0, 0.05, size=co)
     rv0 = conv.var(axis=(0, 2)) * rng.uniform(0.8, 1.25, size=co)
     g0, beta0 = rng.normal(1.0, 0.2, size=co), rng.normal(0.0, 0.2, size=co)
     ref = (conv - rm0[:, None]) / np.sqrt(rv0[:, None] + 1e-5) * g0[:, None] + beta0[:, None]
     ref = (np.maximum(ref, 0.0) if relu else ref).reshape(n, co, t, v)
-    leaves = [Tensor(a, dtype=np.float32) for a in (x0, w0, b0, g0, beta0)]
+    leaves = [Tensor(a, dtype=np.float32) for a in (x0, w0, g0, beta0)]
     rm, rv = rm0.astype(np.float32), rv0.astype(np.float32)
     out = T.shift_conv_bn(*leaves, rm, rv, False, pair, relu).data
     assert out.dtype == np.float32

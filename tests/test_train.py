@@ -59,6 +59,17 @@ def test_config_validation():
             TrainConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base_lr", float("nan")), ("base_lr", float("inf")),
+    ("momentum", -1.0), ("momentum", 1.0), ("momentum", 1.5), ("momentum", float("nan")),
+    ("weight_decay", -1.0), ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+    ("lr_decay_rate", float("nan")), ("lr_decay_rate", 0.0), ("lr_decay_rate", 1.5),
+])
+def test_config_rejects_non_finite_and_out_of_range_optimizer_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig.from_json(json.dumps({field: value}))  # NaN and Infinity as JSON writes them
+
+
 def test_config_json_roundtrip():
     cfg = preset_ucla()
     back = TrainConfig.from_json(cfg.to_json())
@@ -325,6 +336,28 @@ def test_train_step_records_fused_glue(preset, depth, nodes):
                           dtype=model.parameters()[0].dtype)
     loss = cross_entropy_logits(model(Tensor(x)), y)
     assert sum(node._backward is not None for node in T._toposort(loss)) == nodes
+
+
+@pytest.mark.parametrize("preset, with_imamba", [("toy", True), ("toy", False), ("ntu60", True)],
+                         ids=["toy", "toy_ablation", "ntu60_partitions"])
+def test_every_parameter_array_gets_a_gradient_float64(preset, with_imamba):
+    # an array whose gradient is nil is dead weight: a conv bias in front of
+    # a train-mode batch-norm read at most 2.1e-17 here, cancelled by the mean
+    from simba.data import assemble_batch
+    cfg = PRESETS[preset]()
+    cfg.precision, cfg.with_imamba = "float64", with_imamba
+    if preset == "ntu60":
+        cfg.depth_l, cfg.channels_C, cfg.mamba_D = 1, 16, 2
+    ds = (synth_generate(4, 2, v=8, t_raw=48, seed=0) if preset == "toy"
+          else synth_generate(3, 1, v=25, t_raw=80, seed=0, partitions=5))
+    model = build_model(cfg, ds)
+    x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
+                          dtype=np.float64)
+    cross_entropy_logits(model(Tensor(x)), y).backward()
+    grads = {name: 0.0 if p.grad is None else float(np.max(np.abs(p.grad)))
+             for name, p in model.named_parameters()}
+    dead = {name: g for name, g in grads.items() if not g > 1e-8}
+    assert not dead, dead
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
