@@ -15,8 +15,9 @@ Layout (all little-endian):
 
 Entry names are namespaced: ``param/...`` for trainable parameters,
 ``buffer/...`` for running statistics, ``opt/velocity/...`` for optimizer
-momentum.  Loading validates the stored parameter and buffer names and
-shapes against the constructed model and fails closed on any mismatch.
+momentum.  Loading restores parameters and buffers only; it validates
+their stored names and shapes against the constructed model and fails
+closed on any mismatch.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def read_checkpoint(path):
     return meta, entries
 
 
-def load_checkpoint(path, model, optimizer=None) -> dict:
-    """Restore model (and optionally optimizer) state; returns the meta dict.
+def load_checkpoint(path, model) -> dict:
+    """Restore model state; returns the meta dict.
 
     Every model parameter and buffer must be present with a matching shape,
     and the checkpoint must not contain unknown parameter entries.
@@ -144,9 +145,4 @@ def load_checkpoint(path, model, optimizer=None) -> dict:
             raise ValidationError(
                 f"buffer {name!r}: checkpoint shape {arr.shape} != model shape {b.shape}")
         b[...] = arr.astype(b.dtype, copy=False)
-    if optimizer is not None:
-        for name, v in optimizer.named_velocities():
-            key = "opt/velocity/" + name
-            if key in entries:
-                v[...] = entries[key].astype(v.dtype, copy=False)
     return meta

@@ -10,6 +10,20 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each field annotation accepts, and how a failure names it
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Every knob of model construction and optimization, JSON round-trippable."""
@@ -44,6 +58,11 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            ok, want = _TYPE_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
         if not 0 < self.base_lr < math.inf:
             raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
@@ -73,6 +92,8 @@ class TrainConfig:
             raise ConfigError(f"temporal_shift_radius must be >= 0, got {self.temporal_shift_radius}")
         if self.scan_chunk < 0:
             raise ConfigError(f"scan_chunk must be >= 0, got {self.scan_chunk}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(dataclasses.asdict(self), indent=indent, sort_keys=True)
@@ -117,7 +138,7 @@ def preset_toy() -> TrainConfig:
         base_lr=0.05, milestones=[80, 110], warmup_epochs=5,
         weight_decay=1e-4, epochs=120, batch_size_train=16, batch_size_eval=64,
         window_T=16, depth_l=2, channels_C=32, mamba_D=4, ssm_W=8,
-        partitions_enabled=False, scan_chunk=4,
+        partitions_enabled=False,
     )
 
 

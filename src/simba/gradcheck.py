@@ -251,7 +251,14 @@ def suite_shift_tcn():
     checks = [("shift_tcn", check_module(block, x, rng), BLOCK_TOL)]
     unit = UnitTcnResidual(3, 4, rng)
     xu = _leaf(rng, (1, 3, 3, 5))
-    checks.append(("unit_tcn_residual", check_module(unit, xu, rng), BLOCK_TOL))
+    skip = Tensor(np.random.default_rng(42).normal(size=(1, 4, 3, 5)))  # own stream
+    bn = unit.bn
+    with T.no_grad():  # move each channel's ReLU threshold into its widest gap
+        pre = T.shift_conv_bn(xu, unit.w, bn.gamma, bn.beta, bn.running_mean.copy(),
+                              bn.running_var.copy(), True, None, skip=skip)
+    bn.beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(4, -1))
+    checks.append(("unit_tcn_residual", check_module(unit, xu, rng, lambda inp: unit(inp, skip)),
+                   BLOCK_TOL))
     return checks
 
 

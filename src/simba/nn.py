@@ -104,10 +104,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
 

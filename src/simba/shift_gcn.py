@@ -136,13 +136,13 @@ class ShiftTcnBlock(Module):
 
 
 class UnitTcnResidual(Module):
-    """Bias-free pointwise conv ``w`` + BN residual, Cin to Cout; given ``skip``,
-    ReLU(BN(conv(x)) + skip)."""
+    """The module exit, Cin to Cout: ReLU(BN(conv(x)) + skip), with a bias-free
+    pointwise conv ``w``."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
         self.bn = BatchNorm2d(c_out)
 
-    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
-        return _unit(x, self.w, self.bn, None, skip is not None, skip)
+    def forward(self, x: Tensor, skip: Tensor) -> Tensor:
+        return _unit(x, self.w, self.bn, None, relu=True, skip=skip)

@@ -23,7 +23,8 @@ The chunk size picks the forward:
 * chunked — the sequence is cut into chunks whose local recurrences are
   advanced together as one vectorized numpy step per position, and the
   carried states are stitched across chunk boundaries with one short
-  sequential pass.  It materializes the coefficients and the states.
+  sequential pass.  It materializes the coefficients and the states, and
+  is the parallel reference: every preset trains on the streamed forward.
 
 Both share one backward.  The adjoint of a linear recurrence is the same
 recurrence run backwards in time; the backward recomputes the states into
@@ -243,46 +244,35 @@ def _selective_scan(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor, y: Tens
             hs[:, i] = h
         if c.requires_grad:
             c._accumulate(np.einsum("ntd,ntdw->ntw", g, hs), owned=True)
-        grad_y = np.empty((n, t, dp), dtype=dtype) if y.requires_grad else None
-        grad_b = np.empty((n, t, bd.shape[-1]), dtype=dtype) if b.requires_grad else None
-        grad_delta = np.empty((n, t, dp), dtype=dtype) if delta.requires_grad else None
-        gbb = np.empty_like(hs) if a_cont.requires_grad else None
+        grad_y = np.empty((n, t, dp), dtype=dtype)
+        grad_b = np.empty((n, t, bd.shape[-1]), dtype=dtype)
+        grad_delta = np.empty((n, t, dp), dtype=dtype)
+        gbb = np.empty_like(hs)
         lam = np.zeros_like(hs[:, 0])
-        a_next = None
         for i in range(t - 1, -1, -1):
-            if a_next is not None:
-                lam *= a_next
             lam += g[:, i, :, None] * c.data[:, i, None, :]
             a_t, q = _zoh(a, dl[:, i])
             b_bar = q * bd[:, i, None, :]
-            if grad_y is not None:
-                grad_y[:, i] = np.einsum("ndw,ndw->nd", lam, b_bar)
+            grad_y[:, i] = np.einsum("ndw,ndw->nd", lam, b_bar)
             # ga = lam*h_{t-1} and gb = lam*y are the gradients of a_bar and
             # b_bar; chain them through the ZOH with d a_bar/d delta = A*a_bar,
             # d q/d delta = a_bar and d q/d A = (delta*a_bar - q)/A, where
             # b_bar = q*B.  gu = (ga + gb*B/A)*a_bar collects the common factor.
             gb = lam * yd[:, i, :, None]
-            if grad_b is not None:
-                grad_b[:, i] = np.einsum("ndw,ndw->nw", gb, q)
-            if grad_delta is not None or gbb is not None:
-                gu = gb * bd[:, i, None, :]
-                gu /= a
-                if i:  # ga_0 = 0, as h_{-1} = 0
-                    gu += lam * hs[:, i - 1]
-                gu *= a_t
-                if grad_delta is not None:
-                    grad_delta[:, i] = np.einsum("ndw,dw->nd", gu, a)
-                if gbb is not None:
-                    hs[:, i] = gu  # h_t was last read at step t + 1
-                    np.multiply(gb, b_bar, out=gbb[:, i])
-            a_next = a_t
-        if grad_y is not None:
-            y._accumulate(grad_y, owned=True)
-        if grad_b is not None:
-            b._accumulate(grad_b, owned=True)
-        if grad_delta is not None:
-            delta._accumulate(grad_delta, owned=True)
-        if gbb is not None:
+            grad_b[:, i] = np.einsum("ndw,ndw->nw", gb, q)
+            gu = gb * bd[:, i, None, :]
+            gu /= a
+            if i:  # ga_0 = 0, as h_{-1} = 0
+                gu += lam * hs[:, i - 1]
+            gu *= a_t
+            grad_delta[:, i] = np.einsum("ndw,dw->nd", gu, a)
+            hs[:, i] = gu  # h_t was last read at step t + 1
+            np.multiply(gb, b_bar, out=gbb[:, i])
+            lam *= a_t  # lam_{t-1} starts as a_t*lam_t
+        for leaf, grad in ((y, grad_y), (b, grad_b), (delta, grad_delta)):
+            if leaf.requires_grad:
+                leaf._accumulate(grad, owned=True)
+        if a_cont.requires_grad:
             grad_a = np.einsum("ntdw,ntd->dw", hs, dl)
             grad_a -= np.einsum("ntdw->dw", gbb) / a
             a_cont._accumulate(grad_a, owned=True)

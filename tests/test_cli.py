@@ -179,7 +179,8 @@ def test_unknown_flag_exits_one(capsys):
 def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     bad_cfg = tmp_path / "bad.json"
     for bad in ({"base_lr": -1.0}, {"base_lr": float("nan")}, {"batch_size_train": 0},
-                {"window_T": 0}, {"mamba_D": 0}, {"ssm_W": 0}):
+                {"window_T": 0}, {"mamba_D": 0}, {"ssm_W": 0}, {"base_lr": "0.1"},
+                {"momentum": None}, {"seed": -1}):
         bad_cfg.write_text(json.dumps(bad))
         assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
                    "--out", str(tmp_path / "o")) == 1, bad

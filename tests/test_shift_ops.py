@@ -161,7 +161,8 @@ def test_shift_tcn_identity_configuration():
 def test_unit_tcn_maps_channels():
     rng = np.random.default_rng(12)
     block = UnitTcnResidual(3, 8, rng)
-    assert block(Tensor(rng.normal(size=(2, 3, 4, 5)))).shape == (2, 8, 4, 5)
+    out = block(Tensor(rng.normal(size=(2, 3, 4, 5))), Tensor(rng.normal(size=(2, 8, 4, 5))))
+    assert out.shape == (2, 8, 4, 5) and np.all(out.data >= 0.0)
 
 
 def test_blocks_differentiable_end_to_end():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from simba import tensor as T
-from simba.config import PRESETS, TrainConfig, preset_toy, preset_ucla
+from simba.config import PRESETS, TrainConfig, preset_toy
 from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationError
 from simba.data import synth_generate
 from simba.nn import Parameter
@@ -70,10 +70,29 @@ def test_config_rejects_non_finite_and_out_of_range_optimizer_values(field, valu
         TrainConfig.from_json(json.dumps({field: value}))  # NaN and Infinity as JSON writes them
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"base_lr": "0.1"}, "base_lr"), ({"momentum": None}, "momentum"),
+    ({"base_lr": True}, "base_lr"), ({"partitions_enabled": "no"}, "partitions_enabled"),
+    ({"epochs": 2.5, "milestones": []}, "epochs"), ({"warmup_epochs": 1.5}, "warmup_epochs"),
+    ({"milestones": [1.5]}, "milestones"), ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"),
+])
+def test_config_rejects_a_wrong_type_naming_the_field(raw, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        TrainConfig.from_json(json.dumps(raw))
+
+
+def test_every_preset_streams_the_scan():
+    # scan_chunk 0, 1 or >= window_T runs the streamed op in training
+    for name, preset in PRESETS.items():
+        cfg = preset()
+        assert cfg.scan_chunk in (0, 1) or cfg.scan_chunk >= cfg.window_T, (name, cfg.scan_chunk)
+
+
 def test_config_json_roundtrip():
-    cfg = preset_ucla()
-    back = TrainConfig.from_json(cfg.to_json())
-    assert back == cfg
+    for name, preset in PRESETS.items():
+        cfg = preset()
+        assert TrainConfig.from_json(cfg.to_json()) == cfg, name
+    assert TrainConfig.from_json('{"base_lr": 1}').base_lr == 1  # an integer is a number
     with pytest.raises(ConfigError):
         TrainConfig.from_json(json.dumps({"bogus_field": 1}))
 
