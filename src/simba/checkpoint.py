@@ -1,4 +1,4 @@
-"""Binary checkpoint container for named parameters, buffers and optimizer state.
+"""Binary checkpoint container for a model's named parameters and buffers.
 
 Layout (all little-endian):
 
@@ -13,11 +13,11 @@ Layout (all little-endian):
         u32  dims[ndim]
         raw  little-endian float payload
 
-Entry names are namespaced: ``param/...`` for trainable parameters,
-``buffer/...`` for running statistics, ``opt/velocity/...`` for optimizer
-momentum.  Loading restores parameters and buffers only; it validates
-their stored names and shapes against the constructed model and fails
-closed on any mismatch.
+Entry names are namespaced: ``param/...`` for trainable parameters and
+``buffer/...`` for running statistics.  The file holds exactly what
+loading restores, and no optimizer state.  Loading validates the stored
+names and shapes against the constructed model and fails closed on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -76,11 +76,15 @@ def _read_entry(f):
     return name, arr.copy()
 
 
-def save_checkpoint(path, model, optimizer=None, meta: dict | None = None) -> None:
-    entries = [("param/" + n, p.data) for n, p in model.named_parameters()]
-    entries += [("buffer/" + n, b) for n, b in model.named_buffers()]
-    if optimizer is not None:
-        entries += [("opt/velocity/" + n, v) for n, v in optimizer.named_velocities()]
+def _model_state(model) -> dict:
+    """{entry name: the model's array} over every parameter and buffer."""
+    state = {"param/" + n: p.data for n, p in model.named_parameters()}
+    state.update(("buffer/" + n, b) for n, b in model.named_buffers())
+    return state
+
+
+def save_checkpoint(path, model, meta: dict | None = None) -> None:
+    entries = _model_state(model)
     blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -88,7 +92,7 @@ def save_checkpoint(path, model, optimizer=None, meta: dict | None = None) -> No
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         f.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
+        for name, arr in entries.items():
             _write_entry(f, name, arr)
 
 
@@ -115,34 +119,21 @@ def read_checkpoint(path):
 def load_checkpoint(path, model) -> dict:
     """Restore model state; returns the meta dict.
 
-    Every model parameter and buffer must be present with a matching shape,
-    and the checkpoint must not contain unknown parameter entries.
+    The checkpoint's entries must be exactly the model's parameters and
+    buffers, each with the model's shape.
     """
     meta, entries = read_checkpoint(path)
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-
-    stored_params = {n[len("param/"):] for n in entries if n.startswith("param/")}
-    missing = sorted(set(params) - stored_params)
-    unknown = sorted(stored_params - set(params))
+    state = _model_state(model)
+    missing = sorted(set(state) - set(entries))
+    unknown = sorted(set(entries) - set(state))
     if missing or unknown:
         raise ValidationError(
             f"checkpoint does not match model: {len(missing)} missing, first {missing[:5]}; "
             f"{len(unknown)} unknown, first {unknown[:5]}")
-
-    for name, p in params.items():
-        arr = entries["param/" + name]
-        if arr.shape != p.data.shape:
+    for name, target in state.items():
+        arr = entries[name]
+        if arr.shape != target.shape:
             raise ValidationError(
-                f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
-    for name, b in buffers.items():
-        key = "buffer/" + name
-        if key not in entries:
-            raise ValidationError(f"checkpoint is missing buffer {name!r}")
-        arr = entries[key]
-        if arr.shape != b.shape:
-            raise ValidationError(
-                f"buffer {name!r}: checkpoint shape {arr.shape} != model shape {b.shape}")
-        b[...] = arr.astype(b.dtype, copy=False)
+                f"{name!r}: checkpoint shape {arr.shape} != model shape {target.shape}")
+        target[...] = arr  # in place, cast to the model's dtype
     return meta

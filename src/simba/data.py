@@ -257,6 +257,10 @@ def synth_generate(classes: int, samples_per_class: int, v: int = 20,
         raise ValidationError(f"need at least 2 classes, got {classes}")
     if v < 2:
         raise ValidationError(f"need at least 2 joints, got {v}")
+    if samples_per_class < 1:
+        raise ValidationError(f"need at least 1 sample per class, got {samples_per_class}")
+    if not 0 <= noise < np.inf:  # NaN fails the comparison
+        raise ValidationError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     parents = np.concatenate([[0], np.arange(v - 1)])
     k = min(partitions, v)
@@ -274,6 +278,6 @@ def synth_generate(classes: int, samples_per_class: int, v: int = 20,
         base[:, :, 1] = 0.1 * jj + 0.5 * np.cos(2.0 * np.pi * freq * tt / t_raw + wave * jj)
         base[:, :, 2] = 0.2 * np.sin(2.0 * np.pi * (freq / 2.0) * tt / t_raw + phase)
         for _ in range(samples_per_class):
-            jitter = rng.normal(0.0, noise, size=base.shape) if noise > 0 else 0.0
+            jitter = rng.normal(0.0, noise, size=base.shape)
             samples.append((label, (base + jitter).astype(np.float32)))
     return SkeletonDataset(samples, parents, parts, classes, k)

@@ -17,12 +17,17 @@ from .model import SimbaModel
 from .tensor import cross_entropy_logits, no_grad
 
 
+# fixed by the Shift-GCN recipe, as is the SGD momentum of 0.9
+WARMUP_EPOCHS = 5
+LR_DECAY_RATE = 0.1
+
+
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """Linear warmup to base_lr, then step decay at each milestone."""
-    if epoch < cfg.warmup_epochs:
-        return cfg.base_lr * (epoch + 1) / cfg.warmup_epochs
+    if epoch < WARMUP_EPOCHS:
+        return cfg.base_lr * (epoch + 1) / WARMUP_EPOCHS
     passed = sum(1 for m in cfg.milestones if epoch >= m)
-    return cfg.base_lr * cfg.lr_decay_rate ** passed
+    return cfg.base_lr * LR_DECAY_RATE ** passed
 
 
 class SGD:
@@ -38,9 +43,6 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = {name: np.zeros_like(p.data) for name, p in self._params}
-
-    def named_velocities(self):
-        return list(self._velocity.items())
 
     def zero_grad(self):
         for _, p in self._params:
@@ -67,12 +69,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _require_samples(dataset: SkeletonDataset, role: str) -> None:
+    if len(dataset) == 0:
+        raise ValidationError(f"the {role} dataset has no samples")
+
+
 def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
              modality: str = "joint"):
     """Deterministic full-dataset pass; returns (probs [N, K], labels [N]).
 
-    Non-finite logits raise ``DomainError`` naming the batch's sample range.
+    Non-finite logits raise ``DomainError`` naming the batch's sample range;
+    an empty dataset raises ``ValidationError``.
     """
+    _require_samples(dataset, "evaluation")
     model.eval()
     dtype = model.parameters()[0].dtype
     probs = np.empty((len(dataset), model.num_classes))
@@ -113,8 +122,7 @@ def build_model(cfg: TrainConfig, dataset: SkeletonDataset) -> SimbaModel:
         in_channels=3, channels=cfg.channels_C, mamba_d=cfg.mamba_D,
         vertices=dataset.num_joints, ssm_w=cfg.ssm_W, depth=cfg.depth_l,
         num_classes=dataset.num_classes, rng=rng, with_imamba=cfg.with_imamba,
-        partition_labels=labels, tcn_radius=cfg.temporal_shift_radius,
-        scan_chunk=cfg.scan_chunk)
+        partition_labels=labels, scan_chunk=cfg.scan_chunk)
     return model.astype(cfg.precision)
 
 
@@ -127,11 +135,13 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
     JSON-lines log is reproducible byte-for-byte; wall-clock timing goes to
     the console instead.  A step that fails (a non-finite value, or a
     ``DomainError`` such as an underflowed step size) raises ``TrainingAbort``
-    naming the epoch and the batch, or the epoch's evaluation.
+    naming the epoch and the batch, or the epoch's evaluation.  An empty
+    dataset raises ``ValidationError`` before the first step.
     """
+    _require_samples(train_ds, "training")
+    _require_samples(eval_ds, "evaluation")
     dtype = model.parameters()[0].dtype
-    opt = SGD(model.named_parameters(), momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
+    opt = SGD(model.named_parameters(), weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 0xD5])
     metrics = []
     best_acc = -1.0
@@ -190,7 +200,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
         if eval_acc > best_acc:
             best_acc = eval_acc
             if ckpt_path is not None:
-                save_checkpoint(ckpt_path, model, opt, meta={
+                save_checkpoint(ckpt_path, model, meta={
                     "epoch": epoch, "eval_acc": eval_acc,
                     "config": json.loads(cfg.to_json()), "modality": modality,
                     "num_classes": train_ds.num_classes,

@@ -64,15 +64,17 @@ def test_eval_rejects_unknown_config_field(tmp_path, toy_config, toy_data, capsy
     # rewrite the checkpoint's JSON meta block with one field the config lacks
     raw = (out / "checkpoint.bin").read_bytes()
     (meta_len,) = struct.unpack("<I", raw[6:10])
-    meta = json.loads(raw[10:10 + meta_len])
-    meta["config"]["scan_chunks"] = 4
-    blob = json.dumps(meta).encode("utf-8")
-    ckpt = tmp_path / "unknown_field.bin"
-    ckpt.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + meta_len:])
-    capsys.readouterr()
-    assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
-               "--scores", str(tmp_path / "s.json")) == 1
-    assert "unknown config fields: ['scan_chunks']" in capsys.readouterr().err
+    # a misspelt field, and one of the recipe constants an older checkpoint names
+    for name, value in (("scan_chunks", 4), ("momentum", 0.9)):
+        meta = json.loads(raw[10:10 + meta_len])
+        meta["config"][name] = value
+        blob = json.dumps(meta).encode("utf-8")
+        ckpt = tmp_path / "unknown_field.bin"
+        ckpt.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + meta_len:])
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
+                   "--scores", str(tmp_path / "s.json")) == 1
+        assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
 
 
 def test_eval_rejects_malformed_checkpoint_meta(tmp_path, toy_config, toy_data, capsys):
@@ -110,7 +112,7 @@ def test_eval_rejects_a_checkpoint_with_a_conv_bias(tmp_path, toy_config, toy_da
     capsys.readouterr()
     assert run("eval", "--ckpt", str(stale), "--data", str(toy_data),
                "--scores", str(tmp_path / "s.json")) == 1
-    assert "0 missing, first []; 1 unknown, first ['modules_.0.entry.conv.b']" in capsys.readouterr().err
+    assert "0 missing, first []; 1 unknown, first ['param/modules_.0.entry.conv.b']" in capsys.readouterr().err
 
 
 def test_eval_modality_defaults_to_the_checkpoints(tmp_path, toy_config, toy_data, capsys):
@@ -180,12 +182,54 @@ def test_validation_errors_exit_one(tmp_path, toy_data, capsys):
     bad_cfg = tmp_path / "bad.json"
     for bad in ({"base_lr": -1.0}, {"base_lr": float("nan")}, {"batch_size_train": 0},
                 {"window_T": 0}, {"mamba_D": 0}, {"ssm_W": 0}, {"base_lr": "0.1"},
-                {"momentum": None}, {"seed": -1}):
+                {"weight_decay": None}, {"seed": -1}):
         bad_cfg.write_text(json.dumps(bad))
         assert run("train", "--config", str(bad_cfg), "--data", str(toy_data),
                    "--out", str(tmp_path / "o")) == 1, bad
         assert f"error: {next(iter(bad))}" in capsys.readouterr().err
     assert run("bench-scan", "--chunks", "0") == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("momentum", 0.9), ("lr_decay_rate", 0.1), ("warmup_epochs", 5), ("temporal_shift_radius", 1),
+])
+def test_config_naming_a_recipe_constant_exits_one(tmp_path, toy_config, toy_data, capsys,
+                                                   field, value):
+    # momentum, decay, warmup and shift radius are fixed by the recipe, not configured
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({**json.loads(toy_config.read_text()), field: value}))
+    assert run("train", "--config", str(path), "--data", str(toy_data),
+               "--out", str(tmp_path / "o")) == 1
+    assert f"error: unknown config fields: ['{field}']" in capsys.readouterr().err
+
+
+def test_synth_rejects_no_samples_and_negative_noise(tmp_path, capsys):
+    out = str(tmp_path / "x.skl")
+    for flags, message in ((("--samples", "0"), "need at least 1 sample per class, got 0"),
+                           (("--noise", "-1"), "noise must be finite and >= 0, got -1.0")):
+        assert run("synth", "--out", out, *flags) == 1, flags
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.skl").exists()
+
+
+def test_train_and_eval_reject_an_empty_dataset(tmp_path, toy_config, toy_data, capsys):
+    from simba.data import SkeletonDataset, load_dataset, save_dataset
+    ds = load_dataset(toy_data)
+    empty = tmp_path / "empty.skl"
+    save_dataset(empty, SkeletonDataset([], ds.parents, ds.partitions, ds.num_classes,
+                                        ds.num_partitions))
+    out = tmp_path / "run"
+    for data, eval_data, role in ((empty, toy_data, "training"), (toy_data, empty, "evaluation")):
+        assert run("train", "--config", str(toy_config), "--data", str(data),
+                   "--eval-data", str(eval_data), "--out", str(out), "--quiet") == 1
+        assert f"error: the {role} dataset has no samples" in capsys.readouterr().err
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--out", str(out), "--quiet") == 0
+    capsys.readouterr()
+    assert run("eval", "--ckpt", str(out / "checkpoint.bin"), "--data", str(empty),
+               "--scores", str(tmp_path / "s.json")) == 1
+    assert "error: the evaluation dataset has no samples" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_training_abort_is_runtime_failure(tmp_path, toy_data, capsys):

@@ -219,6 +219,14 @@ def test_synth_rejects_degenerate_requests():
         synth_generate(1, 4)
     with pytest.raises(ValidationError):
         synth_generate(3, 4, v=1)
+    with pytest.raises(ValidationError, match="at least 1 sample per class"):
+        synth_generate(3, 0)
+
+
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+def test_synth_rejects_negative_or_non_finite_noise(noise):
+    with pytest.raises(ValidationError, match="noise must be finite and >= 0"):
+        synth_generate(3, 4, noise=noise)
 
 
 def test_nearest_centroid_oracle_separates_classes():

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -331,6 +332,25 @@ def test_checkpoint_validates_names_and_shapes(tmp_path):
                              rng=np.random.default_rng(0))
     with pytest.raises(ValidationError):
         load_checkpoint(path, wrong_width)
+
+
+@pytest.mark.parametrize("stray", ["opt/velocity/modules_.0.entry.w",
+                                   "buffer/modules_.0.entry.bn.num_batches"])
+def test_checkpoint_rejects_a_stray_entry_naming_it(tmp_path, stray):
+    # the file holds only parameters and buffers; anything else fails closed
+    model = tiny_model(seed=8)
+    save_checkpoint(tmp_path / "ckpt.bin", model)
+    raw = (tmp_path / "ckpt.bin").read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[6:10])
+    at = 10 + meta_len
+    (count,) = struct.unpack("<I", raw[at:at + 4])
+    name = stray.encode("utf-8")
+    entry = struct.pack("<H", len(name)) + name + struct.pack("<BBI", 8, 1, 2) + bytes(16)
+    path = tmp_path / "stray.bin"
+    path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + entry)
+    with pytest.raises(ValidationError, match=re.escape(f"0 missing, first []; 1 unknown, "
+                                                        f"first ['{stray}']")):
+        load_checkpoint(path, tiny_model(seed=9))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -3,7 +3,9 @@
 A rename in ``simba`` would otherwise zero a per-layer metric in silence
 (an unmatched span name) or break the benchmark run (a missing patch
 target), instead of failing here.  Likewise every config field must be
-read somewhere, so that a field whose code path is deleted goes with it.
+read somewhere, so that a field whose code path is deleted goes with it,
+and every field must be set differently by some preset or have a reason to
+exist that no preset shows.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from simba.config import TrainConfig
+from simba.config import PRESETS, TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -51,6 +53,23 @@ def test_every_config_field_is_read():
     source = "\n".join(path.read_text() for path in sorted((ROOT / "src" / "simba").glob("*.py"))
                        if path.name != "config.py")
     fields = [f.name for f in dataclasses.fields(TrainConfig)]
-    assert len(fields) > 20
+    assert len(fields) > 16
     unread = [name for name in fields if not re.search(rf"\bcfg\.{name}\b", source)]
     assert not unread, unread
+
+
+# fields that no preset varies, each with the reason it stays a field
+ONE_VALUED_FIELDS = {
+    "with_imamba": "the paper's ablation; acceptance criterion 5 turns it off",
+    "seed": "a run setting, which the benchmark and the determinism tests set",
+    "precision": "float64 gives byte-reproducible runs (acceptance criterion 8)",
+    "scan_chunk": "pinned by perfbench/workloads.py until ROADMAP item 6 step 2 deletes it",
+}
+
+
+def test_every_config_field_varies_across_presets_or_is_allowed():
+    presets = [dataclasses.asdict(preset()) for preset in PRESETS.values()]
+    one_valued = {name for name in presets[0] if all(p[name] == presets[0][name] for p in presets)}
+    assert one_valued == set(ONE_VALUED_FIELDS), (
+        f"one-valued fields without a reason: {sorted(one_valued - set(ONE_VALUED_FIELDS))}; "
+        f"reasons for fields that vary or are gone: {sorted(set(ONE_VALUED_FIELDS) - one_valued)}")
