@@ -2,8 +2,10 @@
 state-space core, built on a small numpy autodiff engine.
 
 SIMBA_THREADS caps BLAS worker threads; it must take effect before numpy
-loads, hence the env propagation at the top of this module.  On glibc the
-import also sets the process's malloc mmap and trim thresholds (below).
+loads, hence the env propagation at the top of this module; it also sets how
+many shards an evaluation batch splits into (``train.evaluate``).  On glibc the
+import also sets the process's malloc mmap and trim thresholds and arena count
+(below).
 """
 
 import ctypes as _ctypes
@@ -14,7 +16,8 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-# keep freed arrays in glibc's heap: M_MMAP_THRESHOLD (-3) 32 MiB, its maximum; M_TRIM_THRESHOLD (-1) 1 GiB
+# keep freed arrays in glibc's heap: M_MMAP_THRESHOLD (-3) 32 MiB, its maximum; M_TRIM_THRESHOLD (-1) 1 GiB;
+# M_ARENA_MAX (-8) 1, so the threads of a sharded eval batch share that heap instead of growing one each
 try:
     _mallopt = _ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):  # no mallopt in this C library
@@ -23,6 +26,7 @@ if _mallopt is not None:
     _mallopt.argtypes, _mallopt.restype = (_ctypes.c_int, _ctypes.c_int), _ctypes.c_int
     _mallopt(-3, 32 << 20)
     _mallopt(-1, 1 << 30)
+    _mallopt(-8, 1)
 
 from .config import PRESETS, TrainConfig  # noqa: E402
 from .data import (  # noqa: E402

@@ -137,6 +137,8 @@ def _cmd_fuse(args) -> int:
             raise ValidationError(f"{path}: sample ids do not match the first stream")
         streams.append(probs)
     labels = load_dataset(args.labels).labels()
+    if len(labels) == 0:
+        raise ValidationError(f"{args.labels}: the label container has no samples")
     if len(labels) != len(streams[0]):
         raise ValidationError(
             f"label count {len(labels)} != stream length {len(streams[0])}")

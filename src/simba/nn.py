@@ -136,7 +136,13 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.w.shape[0]:
             raise ShapeError(f"linear expects last dim {self.w.shape[0]}, got {x.shape}")
-        out = x @ self.w
+        if x.ndim == 2 and not self.training:
+            # one [1, D] product per row: BLAS rounds a row of a GEMM differently
+            # with the row count, so a sample's eval scores would depend on its batch
+            n = x.shape[0]
+            out = T.reshape(T.reshape(x, (n, 1, -1)) @ self.w, (n, -1))
+        else:
+            out = x @ self.w
         if self.b is not None:
             out = out + self.b
         return out

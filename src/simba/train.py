@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import json
 import os
 import time
@@ -20,6 +24,13 @@ from .tensor import cross_entropy_logits, no_grad
 # fixed by the Shift-GCN recipe, as is the SGD momentum of 0.9
 WARMUP_EPOCHS = 5
 LR_DECAY_RATE = 0.1
+
+# An eval batch runs as one shard per BLAS thread only when each shard's
+# first activation (channels_C·T·V·samples elements) is at least this big.
+# On 2 cores, shards of 131K elements (toy, batch 64) gained nothing, of 345K
+# (ntu60, batch 2) gained or lost up to 17% from run to run, and of 691K
+# (ntu60, batch 4) gained 23-27% (BENCH_sharded_eval.json).
+SHARD_MIN_ELEMENTS = 1 << 19
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -74,26 +85,100 @@ def _require_samples(dataset: SkeletonDataset, role: str) -> None:
         raise ValidationError(f"the {role} dataset has no samples")
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _blas_threads() -> int:
+    """Threads the loaded OpenBLAS runs a call on; 1 when it cannot be asked."""
+    api = _openblas()
+    return api[0]() if api is not None else 1
+
+
+@contextlib.contextmanager
+def _pinned_blas(threads: int):
+    """Run the block with OpenBLAS at ``threads``; restore the old count on the way out."""
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    old = api[0]()
+    api[1](threads)
+    try:
+        yield
+    finally:
+        api[1](old)
+
+
+def _logits(model: SimbaModel, x: np.ndarray) -> np.ndarray:
+    return model(T.Tensor(x)).data
+
+
+def _sharded_logits(model: SimbaModel, x: np.ndarray, shards: int) -> np.ndarray:
+    """Logits of x[N, ...], run as ``shards`` contiguous pieces along N.
+
+    Eval mode mixes no samples and numpy and BLAS release the GIL, so the
+    pieces run on one thread each, with OpenBLAS at one thread per caller;
+    the logits equal those of the whole batch at one BLAS thread.  Each
+    piece runs in a copy of the caller's context (numpy's ``errstate``
+    lives there), and an exception from a piece propagates unchanged.
+    """
+    if shards <= 1:
+        return _logits(model, x)
+    # imported here, so that a process that never shards does not carry the module's ~0.5 MiB
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [len(x) * i // shards for i in range(shards + 1)]
+    with _pinned_blas(1), ThreadPoolExecutor(shards) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _logits, model, x[a:b])
+                   for a, b in zip(bounds, bounds[1:])]
+        return np.concatenate([f.result() for f in futures])
+
+
 def evaluate(model: SimbaModel, dataset: SkeletonDataset, cfg: TrainConfig,
              modality: str = "joint"):
     """Deterministic full-dataset pass; returns (probs [N, K], labels [N]).
 
-    Non-finite logits raise ``DomainError`` naming the batch's sample range;
-    an empty dataset raises ``ValidationError``.
+    A batch whose shards would each hold at least ``SHARD_MIN_ELEMENTS``
+    activations runs as one shard per BLAS thread (``_sharded_logits``);
+    a smaller one runs whole.  Non-finite logits raise ``DomainError``
+    naming the batch's sample range; an empty dataset raises
+    ``ValidationError``.
     """
     _require_samples(dataset, "evaluation")
     model.eval()
     dtype = model.parameters()[0].dtype
     probs = np.empty((len(dataset), model.num_classes))
     labels = np.empty(len(dataset), dtype=np.int64)
+    threads = _blas_threads()
     with no_grad():
         for start in range(0, len(dataset), cfg.batch_size_eval):
             idx = range(start, min(start + cfg.batch_size_eval, len(dataset)))
             x, y = assemble_batch(dataset, idx, cfg.window_T, "eval", modality, dtype=dtype)
-            logits = model(T.Tensor(x))
-            if not np.all(np.isfinite(logits.data)):
+            shard_elements = cfg.channels_C * x.shape[2] * x.shape[3] * (len(idx) // threads)
+            logits = _sharded_logits(model, x, threads if shard_elements >= SHARD_MIN_ELEMENTS else 1)
+            if not np.all(np.isfinite(logits)):
                 raise DomainError(f"non-finite logits for samples [{idx.start}, {idx.stop})")
-            probs[idx.start:idx.stop] = softmax(logits.data)
+            probs[idx.start:idx.stop] = softmax(logits)
             labels[idx.start:idx.stop] = y
     return probs, labels
 
@@ -263,6 +348,8 @@ def load_scores(path):
     if not isinstance(k, int) or k < 1 or not isinstance(entries, list):
         raise ValidationError(f"{path}: score file needs a positive 'num_classes' "
                               "and a list of 'entries'")
+    if not entries:
+        raise ValidationError(f"{path}: score file has no entries")
     rows, first_row = [], {}
     for i, e in enumerate(entries):
         try:
@@ -276,10 +363,10 @@ def load_scores(path):
         if row.dtype.kind not in "iuf" or row.shape != (k,):
             raise ValidationError(f"{path}: row {i} is not a list of num_classes = {k} numbers")
         rows.append(row)
-    probs = np.array(rows, dtype=np.float64).reshape(len(rows), k)
-    if probs.size:  # each comparison holds only for valid rows, so NaN and inf fail it
-        ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
-        if not np.all(ok):
-            raise ValidationError(f"{path}: row {int(np.argmin(ok))} is not a probability "
-                                  "vector summing to 1")
+    probs = np.array(rows, dtype=np.float64)
+    # each comparison holds only for valid rows, so NaN and inf fail it
+    ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
+    if not np.all(ok):
+        raise ValidationError(f"{path}: row {int(np.argmin(ok))} is not a probability "
+                              "vector summing to 1")
     return probs, list(first_row)

@@ -259,19 +259,36 @@ def test_missing_file_is_runtime_failure(tmp_path, capsys):
     ({"version": 1, "num_classes": 2, "entries": [{"id": 0, "probs": ["0.5", "0.5"]}]},
      "row 0 is not a list of num_classes = 2 numbers"),
     ({"version": 1, "num_classes": 2}, "a list of 'entries'"),
+    ({"version": 1, "num_classes": 2, "entries": []}, "score file has no entries"),
     ({"version": 1, "num_classes": 2, "entries": [{"id": 0}]}, "row 0 is not an entry"),
     ([{"id": 0, "probs": [1.0]}], "unsupported score format"),
     ("not json", "score file is not UTF-8 JSON"),
     ({"version": 1, "num_classes": 2, "entries": [{"id": 0, "probs": [0.5, 0.5]},
                                                   {"id": 0, "probs": [1.0, 0.0]}]},
      "id 0 is repeated in rows 0 and 1"),
-], ids=["ragged", "width", "strings", "no_entries", "no_probs", "list", "text", "repeated_id"])
+], ids=["ragged", "width", "strings", "no_entries", "empty_entries", "no_probs", "list", "text",
+        "repeated_id"])
 def test_fuse_rejects_malformed_score_files(tmp_path, capsys, payload, message):
     path = tmp_path / "scores.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert run("fuse", str(path), "--labels", str(tmp_path / "labels.skl")) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: " in err and message in err
+
+
+def test_fuse_rejects_an_empty_label_container(tmp_path, toy_data, capsys):
+    from simba.data import SkeletonDataset, load_dataset, save_dataset
+    from simba.train import save_scores
+    ds = load_dataset(toy_data)
+    empty = tmp_path / "empty.skl"
+    save_dataset(empty, SkeletonDataset([], ds.parents, ds.partitions, ds.num_classes,
+                                        ds.num_partitions))
+    scores = tmp_path / "s.json"
+    save_scores(scores, np.full((1, 3), 1 / 3))
+    assert run("fuse", str(scores), "--labels", str(empty)) == 1
+    captured = capsys.readouterr()
+    assert f"error: {empty}: the label container has no samples" in captured.err
+    assert "accuracy" not in captured.out
 
 
 def test_fuse_rejects_mismatched_streams(tmp_path, toy_data, capsys):

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -449,6 +450,130 @@ def test_non_finite_evaluation_fails_closed():
         evaluate(model, ds, cfg)
     with pytest.raises(TrainingAbort, match=r"epoch 0, evaluation: non-finite logits"):
         train(model, ds, ds, cfg, verbose=False)
+
+
+# ---------------------------------------------------------------------------
+# sharded evaluation
+# ---------------------------------------------------------------------------
+
+TRAIN = sys.modules["simba.train"]  # the package re-exports the function `train`
+needs_blas_handle = pytest.mark.skipif(TRAIN._openblas() is None,
+                                       reason="the OpenBLAS thread count cannot be set here")
+
+
+def _eval_setup(preset, with_imamba=True, per_class=2, **fields):
+    cfg = PRESETS[preset]()
+    cfg.with_imamba = with_imamba
+    for name, value in fields.items():
+        setattr(cfg, name, value)
+    ds = (synth_generate(3, per_class, v=8, t_raw=20, noise=0.05, seed=3) if preset == "toy"
+          else synth_generate(2, per_class, v=25, t_raw=80, seed=0, partitions=5))
+    return cfg, ds, build_model(cfg, ds)
+
+
+def _shard_counts(monkeypatch):
+    """Record the shard count of every eval batch."""
+    counts, inner = [], TRAIN._sharded_logits
+
+    def spy(model, x, shards):
+        counts.append(shards)
+        return inner(model, x, shards)
+
+    monkeypatch.setattr(TRAIN, "_sharded_logits", spy)
+    return counts
+
+
+@needs_blas_handle
+@pytest.mark.parametrize("preset, with_imamba, fields", [
+    ("toy", True, {}), ("toy", False, {}),
+    ("ntu60", True, {"depth_l": 1, "channels_C": 16, "mamba_D": 2}),
+], ids=["toy", "toy_ablation", "ntu60_partitions"])
+def test_eval_mode_scores_each_sample_on_its_own(preset, with_imamba, fields):
+    # sharding rests on this: an op that mixes samples in eval mode breaks it
+    cfg, ds, model = _eval_setup(preset, with_imamba, per_class=3, **fields)
+    with TRAIN._pinned_blas(1):
+        cfg.batch_size_eval = len(ds)
+        whole, _ = evaluate(model, ds, cfg)
+        cfg.batch_size_eval = 1
+        single, _ = evaluate(model, ds, cfg)
+    np.testing.assert_array_equal(whole, single)
+
+
+@needs_blas_handle
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_sharded_logits_equal_the_whole_batch(precision):
+    cfg, ds, model = _eval_setup("toy", per_class=3, precision=precision)
+    model.eval()
+    from simba.data import assemble_batch
+    x, _ = assemble_batch(ds, range(len(ds)), cfg.window_T, "eval", "joint",
+                          dtype=model.parameters()[0].dtype)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        with T.no_grad(), TRAIN._pinned_blas(1):
+            whole = TRAIN._sharded_logits(model, x, 1)
+            for shards in (2, 3):
+                np.testing.assert_array_equal(TRAIN._sharded_logits(model, x, shards), whole)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@needs_blas_handle
+def test_sharded_eval_restores_blas_threads_and_joins_its_workers(monkeypatch):
+    cfg, ds, model = _eval_setup("toy", per_class=1, batch_size_eval=3, epochs=1, milestones=[])
+    monkeypatch.setattr(TRAIN, "SHARD_MIN_ELEMENTS", 1)
+    counts = _shard_counts(monkeypatch)
+    seen, fail = [], []
+
+    def head_forward(x):  # notes each shard's BLAS threads; fails the one-sample shard on demand
+        seen.append(TRAIN._blas_threads())
+        if fail and x.shape[0] == 1:
+            raise DomainError("shard failed")
+        return type(model.head).forward(model.head, x)
+
+    monkeypatch.setattr(model.head, "forward", head_forward, raising=False)
+    with TRAIN._pinned_blas(2):
+        threads = threading.active_count()
+        evaluate(model, ds, cfg)
+        assert (counts, seen) == ([2], [1, 1])  # shards of 1 and 2 samples, each at one BLAS thread
+        assert (TRAIN._blas_threads(), threading.active_count()) == (2, threads)
+        fail.append(True)
+        with pytest.raises(DomainError, match="^shard failed$"):
+            evaluate(model, ds, cfg)
+        assert (TRAIN._blas_threads(), threading.active_count()) == (2, threads)
+        with pytest.raises(TrainingAbort, match="^epoch 0, evaluation: shard failed$"):
+            train(model, ds, ds, cfg, verbose=False)
+        assert (TRAIN._blas_threads(), threading.active_count()) == (2, threads)
+
+
+@needs_blas_handle
+def test_eval_output_does_not_depend_on_blas_threads(monkeypatch):
+    # at 2 threads each batch of 4 runs as 2 shards of 2 samples (691K activations each);
+    # run whole at 2 threads, this set read up to 1.3e-7 off the 1-thread probabilities
+    # (at depth 1, or with fewer classes, the difference rounded away in float32)
+    cfg = PRESETS["ntu60"]()
+    cfg.depth_l, cfg.batch_size_eval, cfg.seed = 2, 4, 1
+    ds = synth_generate(60, 1, v=25, t_raw=96, noise=0.05, seed=1, partitions=5)
+    model = build_model(cfg, ds)
+    counts = _shard_counts(monkeypatch)
+    probs = {}
+    for threads in (1, 2):
+        with TRAIN._pinned_blas(threads):
+            probs[threads], _ = evaluate(model, ds, cfg)
+    assert counts == [1] * 15 + [2] * 15
+    np.testing.assert_array_equal(probs[1], probs[2])
+
+
+@needs_blas_handle
+def test_small_eval_batches_run_whole(monkeypatch):
+    # the toy preset's batches of 64 and 32 and single ntu60 samples stay under the size gate
+    counts = _shard_counts(monkeypatch)
+    with TRAIN._pinned_blas(2):
+        cfg, ds, model = _eval_setup("toy", per_class=32)
+        evaluate(model, ds, cfg)
+        cfg, ds, model = _eval_setup("ntu60", per_class=1, depth_l=1, batch_size_eval=1)
+        evaluate(model, ds, cfg)
+    assert counts == [1, 1, 1, 1]
 
 
 def test_load_scores_rejects_non_finite_rows(tmp_path):
