@@ -104,7 +104,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     meta, _ = read_checkpoint(args.ckpt)
-    missing = [key for key in ("config", "modality", "num_classes", "num_joints") if key not in meta]
+    missing = [key for key in ("config", "modality", "num_classes", "num_joints", "partitions")
+               if key not in meta]
     if missing:
         raise ValidationError(f"{args.ckpt}: checkpoint meta lacks {missing}; "
                               "evaluate a checkpoint that `simba train` wrote")
@@ -118,6 +119,10 @@ def _cmd_eval(args) -> int:
         raise ValidationError(
             f"dataset ({ds.num_classes} classes, {ds.num_joints} joints) does not match "
             f"checkpoint ({meta['num_classes']} classes, {meta['num_joints']} joints)")
+    if cfg.partitions_enabled and ds.partitions.tolist() != meta["partitions"]:
+        raise ValidationError(
+            f"dataset partitions {ds.partitions.tolist()} do not match the checkpoint's "
+            f"{meta['partitions']}, which its partition gate was trained on")
     model = build_model(cfg, ds)
     load_checkpoint(args.ckpt, model)
     probs, labels = evaluate(model, ds, cfg, modality)
@@ -167,6 +172,9 @@ def _cmd_bench(args) -> int:
         raise ValidationError(f"--chunks must be comma-separated ints, got {args.chunks!r}")
     if any(c < 1 for c in chunks) or not chunks:
         raise ValidationError(f"chunk sizes must be >= 1, got {chunks}")
+    for flag, value in (("--len", args.length), ("--dim", args.dim), ("--state", args.state)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
     rows = bench_scan(args.length, args.dim, args.state, chunks, seed=args.seed)
     csv = rows_to_csv(rows)
     print(csv, end="")

@@ -259,6 +259,8 @@ def synth_generate(classes: int, samples_per_class: int, v: int = 20,
         raise ValidationError(f"need at least 2 joints, got {v}")
     if samples_per_class < 1:
         raise ValidationError(f"need at least 1 sample per class, got {samples_per_class}")
+    if t_raw < 1:
+        raise ValidationError(f"need at least 1 frame, got {t_raw}")
     if not 0 <= noise < np.inf:  # NaN fails the comparison
         raise ValidationError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)

@@ -160,10 +160,8 @@ def suite_primitives():
     run("reduce_mean", lambda: _project(xg.mean(axis=(0, 2)), pmean), {"x": xg})
 
     w = _leaf(rng, (5, 3))
-    bias = _leaf(rng, (5,))
+    rng.normal(size=5)  # drawn and unused: keeps the seeded inputs of the checks below
     pc = _projection(rng, (2, 5, 2, 4))
-    run("pointwise_conv2d", lambda: _project(T.pointwise_conv2d(xg, w, bias), pc),
-        {"x": xg, "w": w, "b": bias})
 
     xc = _leaf(rng, (2, 5, 3))
     wc = _leaf(rng, (3, 4))
@@ -196,15 +194,17 @@ def suite_primitives():
     rv[:] = 0.5 + rng.random(5)
     run("shift_conv_bn_eval", conv_bn(False, None, False), leaves)
 
-    rng_pb = np.random.default_rng(14)  # own stream: the draws below stay put
-    xb = _leaf(rng_pb, (2, 3, 2, 5))
-    pz = _leaf(rng_pb, (2, 3, 2, 2))
-    gate_b = _leaf(rng_pb, (1, 3, 1, 1))
+    rng_pg = np.random.default_rng(14)  # own stream: the draws below stay put
+    xb = _leaf(rng_pg, (2, 3, 2, 5))
+    wb = _leaf(rng_pg, (3, 3))
+    bb = _leaf(rng_pg, (3,))
+    gate_b = _leaf(rng_pg, (1, 3, 1, 1))
     scatter = np.zeros((2, 5))
     scatter[np.array([0, 0, 1, 1, 1]), np.arange(5)] = 1.0
-    pb = _projection(rng_pb, xb.shape)
-    run("partition_blend", lambda: _project(T.partition_blend(xb, pz, gate_b, scatter), pb),
-        {"x": xb, "pz": pz, "gate": gate_b})
+    pool = np.ascontiguousarray((scatter / scatter.sum(axis=1, keepdims=True)).T)
+    pb = _projection(rng_pg, xb.shape)
+    run("partition_gate", lambda: _project(T.partition_gate(xb, wb, bb, gate_b, pool, scatter), pb),
+        {"x": xb, "w": wb, "b": bb, "gate": gate_b})
 
     xr = _leaf(rng, (2, 3, 4))
     gr = _leaf(rng, (4,))

@@ -16,8 +16,9 @@ Modules are stacked; a global average pool over (T, V) and a linear head
 produce the class logits.
 
 Every shift-GCN above is one ``tensor.shift_conv_bn`` graph node, a decoder
-unit's skip sum included, and the partition gate's scatter and blend are one
-``tensor.partition_blend`` node; the module exit is the residual unit's node.
+unit's skip sum included, and the partition gate (pool, 1x1 conv, scatter,
+blend) is one ``tensor.partition_gate`` node; the module exit is the residual
+unit's node.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .nn import Linear, Module, Parameter, PointwiseConv2d
+from .nn import Linear, Module, Parameter, uniform_init
 from .shift_gcn import ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual
 from .ssm import IMambaBlock
 from .tensor import Tensor
@@ -50,11 +51,11 @@ class PartitionGate(Module):
     """Blend joint features with pooled features of their anatomical group.
 
     labels is the one-hot [V, K] membership matrix; pooling averages member
-    joints, a pointwise conv mixes the pooled channels, and the result is
-    scattered back to every member joint.  The learnable per-channel gate
-    interpolates between joint-level and group-level features:
-    x + (1 - gate)·(e - x), so a closed gate (or e == x) passes x through
-    bit-exactly.  The scatter and the blend are one ``tensor.partition_blend``
+    joints, a 1x1 conv (``w``, ``b``) mixes the pooled channels, and the
+    result is scattered back to every member joint.  The learnable
+    per-channel gate interpolates between joint-level and group-level
+    features: x + (1 - gate)·(e - x), so a closed gate (or e == x) passes x
+    through bit-exactly.  All four steps are one ``tensor.partition_gate``
     node.
     """
 
@@ -71,16 +72,16 @@ class PartitionGate(Module):
         self._labels = labels
         self._pool = labels / labels.sum(axis=0, keepdims=True)
         self.gate = Parameter(np.full((1, channels, 1, 1), 0.5))
-        self.proj = PointwiseConv2d(channels, channels, rng)
+        self.w = Parameter(uniform_init(rng, (channels, channels), channels), decay=True)
+        self.b = Parameter(np.zeros(channels))
 
     def forward(self, x: Tensor) -> Tensor:
         n, c, t, v = x.shape
         if v != self._labels.shape[0]:
             raise ShapeError(f"gate built for {self._labels.shape[0]} joints, got {v}")
-        pool = Tensor(self._pool, dtype=x.dtype)
+        pool = self._pool.astype(x.dtype)
         scatter = np.ascontiguousarray(self._labels.T, dtype=x.dtype)
-        z = x @ pool                      # [N, C, T, K] group means
-        return T.partition_blend(x, self.proj(z), self.gate, scatter)
+        return T.partition_gate(x, self.w, self.b, self.gate, pool, scatter)
 
 
 class SimbaModule(Module):

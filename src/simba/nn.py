@@ -148,18 +148,6 @@ class Linear(Module):
         return out
 
 
-class PointwiseConv2d(Module):
-    """1x1 conv over the channel axis of [N, C, T, V]."""
-
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        super().__init__()
-        self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
-        self.b = Parameter(np.zeros(c_out))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.pointwise_conv2d(x, self.w, self.b)
-
-
 class CausalConv1d(Module):
     """Depthwise causal convolution along time for [N, T, D] sequences."""
 

@@ -472,32 +472,6 @@ def _pointwise_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.tensordot(g, x, axes=([0, 2], [0, 2]))
 
 
-def pointwise_conv2d(x, w, b) -> Tensor:
-    """1x1 convolution over the channel axis of an [N, C, T, V] tensor.
-
-    out[n,o,t,v] = b[o] + sum_i w[o,i] * x[n,i,t,v]
-    """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    _check_pointwise(x, w)
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-    n, ci, t, v = x.shape
-    co = w.shape[0]
-    data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
-    data += b.data[None, :, None, None]
-
-    def backward(g):
-        gm = g.reshape(n, co, t * v)
-        if x.requires_grad:
-            x._accumulate((w.data.T @ gm).reshape(x.shape), owned=True)
-        if w.requires_grad:
-            w._accumulate(_pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)), owned=True)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-
-    return _make(data, (x, w, b), backward)
-
-
 def causal_conv1d_depthwise(x, w, b) -> Tensor:
     """Per-channel causal convolution along the middle axis of x[N, T, D].
 
@@ -642,41 +616,53 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
     return _make(out.reshape(n, co, t, v), parents, backward)
 
 
-def partition_blend(x, pz, gate, scatter: np.ndarray) -> Tensor:
-    """x + (1 - gate)·(pz @ scatter - x) on x[N, C, T, V], one graph node.
+def partition_gate(x, w, b, gate, pool: np.ndarray, scatter: np.ndarray) -> Tensor:
+    """Body-part gate on x[N, C, T, V]: pool -> 1x1 conv -> scatter -> blend, one graph node.
 
-    ``pz`` [N, C, T, K] holds per-group features, ``scatter`` [K, V] is the
-    constant membership matrix that copies each group back to its joints,
-    and ``gate`` [1, C, 1, 1] blends per channel: a closed gate (or
-    pz @ scatter == x) passes x through bit-exactly.  The forward runs the
-    composite's operations in its order, in place on e = pz @ scatter.  The
-    backward rebuilds e - x from ``pz`` for the gate's gradient, so the node
-    keeps no array of the output's size besides the output.
+    ``pool`` [V, K] averages the member joints of each of K groups,
+    ``w`` [C, C] and ``b`` [C] mix the pooled channels into
+    pz = w·(x @ pool) + b, ``scatter`` [K, V] is the constant membership
+    matrix that copies each group back to its joints, and ``gate``
+    [1, C, 1, 1] blends per channel: x + (1 - gate)·(pz @ scatter - x), so a
+    closed gate (or pz @ scatter == x) passes x through bit-exactly.  The
+    forward runs the composite's operations in its order, in place on
+    e = pz @ scatter.  The node keeps the pooled x @ pool and pz [N, C, T, K];
+    the backward rebuilds e - x from pz for the gate's gradient, so it keeps
+    no array of the output's size besides the output.
     """
-    x, pz, gate = _as_tensor(x), _as_tensor(pz), _as_tensor(gate)
-    n, c, t, v = x.shape
-    k = scatter.shape[0]
-    if pz.shape != (n, c, t, k) or scatter.shape != (k, v) or gate.shape != (1, c, 1, 1):
-        raise ShapeError(f"partition blend expects x[N,C,T,V], pz[N,C,T,K], gate[1,C,1,1], "
-                         f"scatter[K,V]; got {x.shape}, {pz.shape}, {gate.shape}, {scatter.shape}")
+    x, w, b, gate = (_as_tensor(a) for a in (x, w, b, gate))
+    shapes = (x.shape, w.shape, b.shape, gate.shape, pool.shape, scatter.shape)
+    n, c, t, v = x.shape if x.ndim == 4 else (-1,) * 4
+    k = scatter.shape[0] if scatter.ndim == 2 else -1
+    if shapes[1:] != ((c, c), (c,), (1, c, 1, 1), (v, k), (k, v)):
+        raise ShapeError("partition gate expects x[N,C,T,V], w[C,C], b[C], gate[1,C,1,1], pool[V,K], "
+                         "scatter[K,V]; got " + ", ".join(map(str, shapes)))
+    z = (x.data @ pool).reshape(n, c, t * k)
+    pz = (w.data @ z).reshape(n, c, t, k)
+    pz += b.data[None, :, None, None]
     open_ = 1.0 - gate.data
-    e = pz.data @ scatter
+    e = pz @ scatter
     e -= x.data
     e *= open_
     e += x.data
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * gate.data, owned=True)
-        if pz.requires_grad:
-            pz._accumulate((g * open_) @ scatter.T, owned=True)
+        gpz = ((g * open_) @ scatter.T).reshape(n, c, t * k)
         if gate.requires_grad:
-            diff = pz.data @ scatter
+            diff = pz @ scatter
             diff -= x.data
             diff *= g
             gate._accumulate(-_unbroadcast(diff, gate.shape), owned=True)
+        if w.requires_grad:
+            w._accumulate(_pointwise_weight_grad(gpz, z), owned=True)
+        if b.requires_grad:
+            b._accumulate(gpz.sum(axis=(0, 2)), owned=True)
+        if x.requires_grad:
+            gx = g * gate.data
+            gx += (w.data.T @ gpz).reshape(n, c, t, k) @ pool.T
+            x._accumulate(gx, owned=True)
 
-    return _make(e, (x, pz, gate), backward)
+    return _make(e, (x, w, b, gate), backward)
 
 
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:

@@ -290,6 +290,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
                     "config": json.loads(cfg.to_json()), "modality": modality,
                     "num_classes": train_ds.num_classes,
                     "num_joints": train_ds.num_joints,
+                    "partitions": train_ds.partitions.tolist(),
                 })
         if verbose:
             wall = time.perf_counter() - tic

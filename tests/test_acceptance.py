@@ -214,8 +214,8 @@ def test_criterion_7_partition_gating():
     np.testing.assert_array_equal(gate(Tensor(x)).data, x)
 
     ident = PartitionGate(4, np.eye(5), rng)
-    ident.proj.w.data[:] = np.eye(4)
-    ident.proj.b.data[:] = 0.0
+    ident.w.data[:] = np.eye(4)
+    ident.b.data[:] = 0.0
     ident.gate.data[:] = rng.random((1, 4, 1, 1))
     np.testing.assert_array_equal(ident(Tensor(x)).data, x)
 

@@ -88,7 +88,8 @@ def test_eval_rejects_malformed_checkpoint_meta(tmp_path, toy_config, toy_data, 
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(raw[:6] + struct.pack("<I", 2) + b"\xff{" + raw[12:])
     capsys.readouterr()
-    for ckpt, message in ((bare, "checkpoint meta lacks ['config', 'modality', 'num_classes', 'num_joints']"),
+    lacks = "checkpoint meta lacks ['config', 'modality', 'num_classes', 'num_joints', 'partitions']"
+    for ckpt, message in ((bare, lacks),
                           (corrupt, "checkpoint meta is not UTF-8 JSON")):
         assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
                    "--scores", str(tmp_path / "s.json")) == 1
@@ -130,6 +131,29 @@ def test_eval_modality_defaults_to_the_checkpoints(tmp_path, toy_config, toy_dat
     assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--modality", "joint",
                "--scores", str(tmp_path / "joint.json")) == 1
     assert "which was trained on 'bone'" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_dataset_grouped_unlike_training(tmp_path, toy_config, toy_data, capsys):
+    # the partition gate is rebuilt from the evaluated dataset's groups, so
+    # regrouped joints would move the scores without an error
+    from simba.data import SkeletonDataset, load_dataset, save_dataset
+    gated = tmp_path / "gated.json"
+    gated.write_text(json.dumps({**json.loads(toy_config.read_text()), "partitions_enabled": True}))
+    ds = load_dataset(toy_data)
+    data = {}
+    for k in (3, 2):
+        data[k] = tmp_path / f"k{k}.skl"
+        save_dataset(data[k], SkeletonDataset(ds.samples, ds.parents, np.arange(8) * k // 8,
+                                              ds.num_classes, k))
+    out = tmp_path / "run"
+    assert run("train", "--config", str(gated), "--data", str(data[3]), "--out", str(out), "--quiet") == 0
+    ckpt = str(out / "checkpoint.bin")
+    assert run("eval", "--ckpt", ckpt, "--data", str(data[3]), "--scores", str(tmp_path / "s3.json")) == 0
+    capsys.readouterr()
+    assert run("eval", "--ckpt", ckpt, "--data", str(data[2]), "--scores", str(tmp_path / "s2.json")) == 1
+    assert ("dataset partitions [0, 0, 0, 0, 1, 1, 1, 1] do not match the checkpoint's "
+            "[0, 0, 0, 1, 1, 1, 2, 2]") in capsys.readouterr().err
+    assert not (tmp_path / "s2.json").exists()
 
 
 def test_train_outputs_reproducible_byte_for_byte(tmp_path, toy_config, toy_data):
@@ -201,6 +225,21 @@ def test_config_naming_a_recipe_constant_exits_one(tmp_path, toy_config, toy_dat
     assert run("train", "--config", str(path), "--data", str(toy_data),
                "--out", str(tmp_path / "o")) == 1
     assert f"error: unknown config fields: ['{field}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bench-scan", "--len", "-1"), "--len must be >= 1, got -1"),
+    (("bench-scan", "--dim", "0"), "--dim must be >= 1, got 0"),
+    (("bench-scan", "--state", "-2"), "--state must be >= 1, got -2"),
+    (("synth", "--frames", "-1"), "need at least 1 frame, got -1"),
+], ids=["len", "dim", "state", "frames"])
+def test_size_flags_below_one_exit_one(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.skl"
+    if argv[0] == "synth":
+        argv += ("--out", str(out))
+    assert run(*argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_rejects_no_samples_and_negative_noise(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_gradient_suites_cover_every_op_a_train_step_records(monkeypatch):
         assert "shift_conv_bn" in ops and "_selective_scan" in ops, name
         assert not ops - suite_ops, (name, sorted(ops - suite_ops))
         step_ops |= ops
-    assert "pointwise_conv2d" in step_ops  # the partition gate's conv
+    assert "partition_gate" in step_ops  # the ntu60 preset gates its partitions
     assert suite_ops - step_ops == SUITE_ONLY, sorted(suite_ops - step_ops)
 
 

@@ -178,8 +178,8 @@ def test_gate_single_partition_broadcasts_mean():
     rng = np.random.default_rng(10)
     gate = PartitionGate(4, _labels(5, [0, 0, 0, 0, 0]), rng)
     gate.gate.data[:] = 0.0
-    gate.proj.w.data[:] = np.eye(4)
-    gate.proj.b.data[:] = 0.0
+    gate.w.data[:] = np.eye(4)
+    gate.b.data[:] = 0.0
     x = rng.normal(size=(2, 4, 3, 5))
     out = gate(Tensor(x)).data
     mean = x.mean(axis=3, keepdims=True)
@@ -190,8 +190,8 @@ def test_gate_identity_partitions_pass_through_for_any_gate():
     rng = np.random.default_rng(11)
     gate = PartitionGate(3, np.eye(5), rng)
     gate.gate.data[:] = rng.random((1, 3, 1, 1))
-    gate.proj.w.data[:] = np.eye(3)
-    gate.proj.b.data[:] = 0.0
+    gate.w.data[:] = np.eye(3)
+    gate.b.data[:] = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
     np.testing.assert_array_equal(gate(Tensor(x)).data, x)
 
@@ -209,14 +209,15 @@ def test_gate_rejects_invalid_partitions():
 
 
 def test_gate_node_keeps_no_array_of_the_output_shape():
-    # the gate's gradient rebuilds e - x from the pooled features, which are
-    # a recorded parent, so only the output holds an [N, C, T, V] array
+    # the gate's gradient rebuilds e - x from the mixed group features pz
+    # [N, C, T, K], which the node keeps, so only the output holds an
+    # [N, C, T, V] array
     rng = np.random.default_rng(14)
     gate = PartitionGate(4, _labels(5, [0, 0, 1, 1, 2]), rng)
     x = Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
     out = gate(x)
-    assert out._backward.__qualname__ == "partition_blend.<locals>.backward"
-    assert out._parents[0] is x and out._parents[2] is gate.gate
+    assert out._backward.__qualname__ == "partition_gate.<locals>.backward"
+    assert out._parents == (x, gate.w, gate.b, gate.gate)
     held = []
     for cell in out._backward.__closure__:
         value = cell.cell_contents
@@ -243,7 +244,6 @@ def test_trace_shapes_names_paths_like_parameters():
     with T.no_grad():
         trace = nn.trace_shapes(model, Tensor(np.random.default_rng(15).normal(size=(2, 3, 5, 4))))
     assert trace[""] == ((2, 3, 5, 4), (2, 10))
-    assert trace["modules_.0.gate.proj"] == ((2, 8, 5, 2), (2, 8, 5, 2))  # 2 partitions
     assert trace["modules_.1.imamba"] == ((2, 5, 8), (2, 5, 8))          # V*D = 4*2
     assert trace["head"] == ((2, 8), (2, 10))
     names = [name for name, _ in model.named_parameters()]

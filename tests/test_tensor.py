@@ -10,36 +10,23 @@ from simba.tensor import Tensor
 from simba.train import softmax
 
 
-def test_pointwise_conv2d_sum_of_ones():
-    x = Tensor(np.ones((1, 2, 1, 1)))
-    w = Tensor([[1.0, 1.0]])
-    b = Tensor([0.0])
-    out = T.pointwise_conv2d(x, w, b)
-    assert out.shape == (1, 1, 1, 1)
-    assert out.data.ravel()[0] == 2.0
-
-
-def test_pointwise_conv2d_identity():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 3, 4, 5)))
-    out = T.pointwise_conv2d(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
-    np.testing.assert_array_equal(out.data, x.data)
-
-
 def test_pointwise_conv2d_matches_triple_loop():
+    # the 1x1 conv inside the partition gate: one joint per group and a gate
+    # of 0 leave only b + sum of w·x
     rng = np.random.default_rng(7)
-    n, cin, t, v, cout = 2, 3, 4, 5, 6
-    x = rng.normal(size=(n, cin, t, v))
-    w = rng.normal(size=(cout, cin))
-    b = rng.normal(size=cout)
-    out = T.pointwise_conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-    ref = np.empty((n, cout, t, v))
+    n, c, t, v = 2, 3, 4, 5
+    x = rng.normal(size=(n, c, t, v))
+    w = rng.normal(size=(c, c))
+    b = rng.normal(size=c)
+    out = T.partition_gate(Tensor(x), Tensor(w), Tensor(b), Tensor(np.zeros((1, c, 1, 1))),
+                           np.eye(v), np.eye(v)).data
+    ref = np.empty((n, c, t, v))
     for ni in range(n):
-        for o in range(cout):
+        for o in range(c):
             for ti in range(t):
                 for vi in range(v):
                     acc = b[o]
-                    for i in range(cin):
+                    for i in range(c):
                         acc += w[o, i] * x[ni, i, ti, vi]
                     ref[ni, o, ti, vi] = acc
     assert np.max(np.abs(out - ref)) <= 1e-12
@@ -69,10 +56,11 @@ def test_causal_conv1d_depthwise_matches_loop(t, k):
 
 
 def test_pointwise_conv2d_shape_error_names_both_shapes():
+    # the 1x1 conv's shape check, as the fused shift unit runs it
     x = Tensor(np.zeros((1, 3, 2, 2)))
     w = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"\(1, 3, 2, 2\).*\(4, 5\)"):
-        T.pointwise_conv2d(x, w, Tensor(np.zeros(4)))
+        T.shift_conv_bn(x, w, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), True)
 
 
 def _bn(x, gamma, beta, running_mean, running_var, training, **kw):
@@ -189,6 +177,25 @@ def _relu_node(x):
     return T._make(np.maximum(x.data, 0.0), (x,), backward)
 
 
+def _conv_node(x, w, b):
+    """A biased 1x1 conv over the channels of x[N, C, T, V] as a graph node of its own."""
+    n, ci, t, v = x.shape
+    co = w.shape[0]
+    data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
+    data += b.data[None, :, None, None]
+
+    def backward(g):
+        gm = g.reshape(n, co, t * v)
+        if x.requires_grad:
+            x._accumulate((w.data.T @ gm).reshape(x.shape), owned=True)
+        if w.requires_grad:
+            w._accumulate(T._pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)), owned=True)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+
+    return T._make(data, (x, w, b), backward)
+
+
 def _shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, training,
                              shift, relu, skip=None, conv_bias=None):
     """The unit as the blocks built it before fusion: one node per step.
@@ -197,7 +204,7 @@ def _shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, train
     """
     if conv_bias is None:
         conv_bias = Tensor(np.zeros(w.shape[0]), dtype=x.dtype)
-    out = T.pointwise_conv2d(_shift_node(shift, x) if shift else x, w, conv_bias)
+    out = _conv_node(_shift_node(shift, x) if shift else x, w, conv_bias)
     out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
     out = out if skip is None else out + skip
     return _relu_node(out) if relu else out
@@ -336,34 +343,58 @@ def test_shift_conv_bn_rejects_a_post_skip_of_another_shape():
                         post_skip=np.ones((2, 3, 4, 5)))
 
 
-def _partition_blend_composite(x, pz, gate, scatter):
-    """The partition gate's blend as the gate built it before fusion: one node per op."""
-    e = pz @ Tensor(scatter, dtype=x.dtype)
-    return x + (1.0 - gate) * (e - x)
+def _blend_node(x, pz, gate, scatter):
+    """x + (1 - gate)·(pz @ scatter - x) as the one node the gate's blend was before the fusion."""
+    open_ = 1.0 - gate.data
+    e = pz.data @ scatter
+    e -= x.data
+    e *= open_
+    e += x.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * gate.data, owned=True)
+        if pz.requires_grad:
+            pz._accumulate((g * open_) @ scatter.T, owned=True)
+        if gate.requires_grad:
+            diff = pz.data @ scatter
+            diff -= x.data
+            diff *= g
+            gate._accumulate(-T._unbroadcast(diff, gate.shape), owned=True)
+
+    return T._make(e, (x, pz, gate), backward)
 
 
-def test_partition_blend_matches_composite_float64():
+def _partition_gate_composite(x, w, b, gate, pool, scatter):
+    """The gate as three nodes: x @ pool, the 1x1 conv, then scatter and blend."""
+    return _blend_node(x, _conv_node(x @ Tensor(pool), w, b), gate, scatter)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_partition_gate_matches_composite(dtype):
     rng = np.random.default_rng(18)
     n, c, t, v, k = 2, 4, 3, 6, 3
-    scatter = np.zeros((k, v))
-    scatter[np.array([0, 0, 1, 1, 2, 2]), np.arange(v)] = 1.0
-    arrays = (rng.normal(size=(n, c, t, v)), rng.normal(size=(n, c, t, k)), rng.random((1, c, 1, 1)))
-    weights = rng.normal(size=(n, c, t, v))
+    scatter = np.zeros((k, v), dtype=dtype)
+    scatter[np.array([0, 0, 1, 2, 2, 2]), np.arange(v)] = 1.0
+    pool = np.ascontiguousarray((scatter / scatter.sum(axis=1, keepdims=True)).T)
+    arrays = [a.astype(dtype) for a in (rng.normal(size=(n, c, t, v)), rng.normal(size=(c, c)),
+                                        rng.normal(size=c), rng.random((1, c, 1, 1)))]
+    weights = rng.normal(size=(n, c, t, v)).astype(dtype)
     results = []
-    for op in (T.partition_blend, _partition_blend_composite):
+    for op in (T.partition_gate, _partition_gate_composite):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        out = op(*leaves, scatter)
+        out = op(*leaves, pool, scatter)
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves)))
-    assert np.array_equal(results[0][0], results[1][0])
-    for name, fused, composite in zip(("dx", "dpz", "dgate"), *(r[1:] for r in results)):
-        assert np.max(np.abs(fused - composite)) <= 1e-12 * np.max(np.abs(composite)), name
+    for name, fused, composite in zip(("out", "dx", "dw", "db", "dgate"), *results):
+        assert fused.dtype == dtype and np.array_equal(fused, composite), name
 
 
-def test_partition_blend_rejects_mismatched_shapes():
-    x, pz, gate = np.ones((2, 3, 4, 5)), np.ones((2, 3, 4, 2)), np.ones((1, 3, 1, 1))
-    with pytest.raises(ShapeError, match="partition blend"):
-        T.partition_blend(x, pz, gate, np.ones((3, 5)))
+def test_partition_gate_rejects_mismatched_shapes():
+    x, w, b, gate = np.ones((2, 3, 4, 5)), np.ones((3, 3)), np.ones(3), np.ones((1, 3, 1, 1))
+    with pytest.raises(ShapeError, match=r"partition gate .*\(2, 3, 4, 5\), \(3, 3\), \(3,\), "
+                                         r"\(1, 3, 1, 1\), \(5, 2\), \(3, 5\)"):
+        T.partition_gate(x, w, b, gate, np.ones((5, 2)), np.ones((3, 5)))
 
 
 @pytest.mark.parametrize("unit", ["spatial_relu", "temporal_r1"])
@@ -492,8 +523,9 @@ def test_forward_determinism_bit_identical():
         rng = np.random.default_rng(21)
         x = Tensor(rng.normal(size=(2, 3, 4, 5)))
         w = Tensor(rng.normal(size=(6, 3)))
-        b = Tensor(rng.normal(size=6))
-        return softmax(T.pointwise_conv2d(x, w, b).mean(axis=(2, 3)).data)
+        gamma, beta = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        out = T.shift_conv_bn(x, w, gamma, beta, np.zeros(6), np.ones(6), True, SPATIAL_SHIFT)
+        return softmax(out.mean(axis=(2, 3)).data)
 
     assert np.array_equal(run(), run())
 

@@ -29,6 +29,15 @@ def _resolve(dotted: str):
     return obj
 
 
+# names the benchmark still refers to after the program deleted them, each with
+# the reason the benchmark keeps it until its next refresh
+DELETED_NAMES = {
+    "nn.PointwiseConv2d": "the partition gate's conv is inside tensor.partition_gate; "
+                          "perfbench/spans.py LAYER_OF drops it at the benchmark refresh "
+                          "(ROADMAP item 13)",
+}
+
+
 def test_perfbench_span_and_patch_names_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
@@ -46,7 +55,10 @@ def test_perfbench_span_and_patch_names_resolve(monkeypatch):
             _resolve(name)
         except AttributeError:
             missing.append(name)
-    assert not missing, missing
+    assert set(missing) == set(DELETED_NAMES), (
+        f"names that do not resolve: {sorted(set(missing) - set(DELETED_NAMES))}; "
+        f"listed as deleted but resolve or are no longer referenced: "
+        f"{sorted(set(DELETED_NAMES) - set(missing))}")
 
 
 def test_every_config_field_is_read():

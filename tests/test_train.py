@@ -337,11 +337,11 @@ def test_backward_peak_stays_near_the_forward_graph():
     assert peak <= 1.5 * live, (live, peak)
 
 
-@pytest.mark.parametrize("preset, depth, nodes", [("toy", 2, 84), ("ntu60", 1, 47)])
+@pytest.mark.parametrize("preset, depth, nodes", [("toy", 2, 84), ("ntu60", 1, 45)])
 def test_train_step_records_fused_glue(preset, depth, nodes):
-    # each partition gate is a matmul, a conv and one blend node, and each
-    # decoder unit adds its skip inside its own node; the composites took 90
-    # nodes on toy and 56 at ntu60 depth 1
+    # each partition gate is one node, and each decoder unit adds its skip
+    # inside its own node; the composites took 90 nodes on toy and 56 at
+    # ntu60 depth 1
     from simba.data import assemble_batch
     cfg = PRESETS[preset]()
     cfg.depth_l = depth
