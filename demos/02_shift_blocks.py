@@ -33,7 +33,7 @@ for c in range(3):
 print("\n=== the two block types ===")
 rng = np.random.default_rng(0)
 sgcn = ShiftSGcnBlock(3, 8, rng)
-tcn = ShiftTcnBlock(8, rng, radius=1)
+tcn = ShiftTcnBlock(8, rng)  # temporal shift of radius 1, the recipe's
 x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
 hidden = sgcn(x)
 out = tcn(hidden)

@@ -36,7 +36,9 @@ full = SimbaModel(in_channels=3, channels=32, mamba_d=4, vertices=8, ssm_w=8,
                   depth=2, num_classes=4, rng=np.random.default_rng(3))
 frozen = SimbaModel(in_channels=3, channels=32, mamba_d=4, vertices=8, ssm_w=8,
                     depth=2, num_classes=4, rng=np.random.default_rng(3),
-                    with_imamba=False, tcn_radius=0)
+                    with_imamba=False)
+for module in frozen.modules_:
+    module.tcn.shift = None  # freeze the temporal shift
 print(f"toy model parameters:          {full.num_params()}")
 print(f"no scan core (same channels):  {frozen.num_params()}")
 

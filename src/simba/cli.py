@@ -115,14 +115,7 @@ def _cmd_eval(args) -> int:
                               f"which was trained on {meta['modality']!r}")
     cfg = TrainConfig.from_dict(meta["config"])
     ds = load_dataset(args.data)
-    if ds.num_classes != meta["num_classes"] or ds.num_joints != meta["num_joints"]:
-        raise ValidationError(
-            f"dataset ({ds.num_classes} classes, {ds.num_joints} joints) does not match "
-            f"checkpoint ({meta['num_classes']} classes, {meta['num_joints']} joints)")
-    if cfg.partitions_enabled and ds.partitions.tolist() != meta["partitions"]:
-        raise ValidationError(
-            f"dataset partitions {ds.partitions.tolist()} do not match the checkpoint's "
-            f"{meta['partitions']}, which its partition gate was trained on")
+    ds.check_layout(meta, "the checkpoint", cfg.partitions_enabled)
     model = build_model(cfg, ds)
     load_checkpoint(args.ckpt, model)
     probs, labels = evaluate(model, ds, cfg, modality)

@@ -29,8 +29,10 @@ class TrainConfig:
     """Every knob of model construction and optimization, JSON round-trippable.
 
     The Shift-GCN recipe's fixed parts are constants where they are read:
-    Nesterov momentum 0.9 (``SGD``), a 5-epoch warmup and 0.1 step decay
-    (``train.lr_at``), and a temporal shift of radius 1 (``SimbaModel``).
+    Nesterov momentum 0.9 (``train.MOMENTUM``), a 5-epoch warmup and 0.1
+    step decay (``train.WARMUP_EPOCHS``, ``train.LR_DECAY_RATE``), batch-norm
+    momentum 0.1 (``tensor.BN_MOMENTUM``), and a temporal shift of radius 1
+    (``shift_gcn.FRAME_SHIFT``).
     """
 
     # optimization
@@ -75,12 +77,12 @@ class TrainConfig:
             raise ConfigError(f"milestones must lie in [0, epochs), got {ms}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.channels_C % 4 != 0:
-            raise ConfigError(f"channels_C must be divisible by 4, got {self.channels_C}")
+        if self.channels_C < 4 or self.channels_C % 4 != 0:
+            raise ConfigError(f"channels_C must be a positive multiple of 4, got {self.channels_C}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
         for name in ("repeat_augmentation", "batch_size_train", "batch_size_eval", "window_T",
-                     "mamba_D", "ssm_W"):
+                     "depth_l", "mamba_D", "ssm_W"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.scan_chunk < 0:

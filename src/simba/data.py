@@ -83,6 +83,25 @@ class SkeletonDataset:
     def labels(self) -> np.ndarray:
         return np.array([label for label, _ in self.samples], dtype=np.int64)
 
+    def layout(self) -> dict:
+        """What a model built for this dataset fixes: class count, joint count, partition ids."""
+        return {"num_classes": self.num_classes, "num_joints": self.num_joints,
+                "partitions": self.partitions.tolist()}
+
+    def check_layout(self, layout: dict, source: str, partitions: bool) -> None:
+        """Raise ``ValidationError`` naming both values unless this dataset, to be
+        evaluated, has the class and joint counts of ``layout`` (a ``layout()`` of
+        ``source``) and, when ``partitions`` (the gate is on), its partition ids."""
+        if (self.num_classes, self.num_joints) != (layout["num_classes"], layout["num_joints"]):
+            raise ValidationError(
+                f"the evaluation dataset ({self.num_classes} classes, {self.num_joints} joints) "
+                f"does not match {source} ({layout['num_classes']} classes, "
+                f"{layout['num_joints']} joints)")
+        if partitions and self.partitions.tolist() != layout["partitions"]:
+            raise ValidationError(
+                f"the evaluation dataset partitions {self.partitions.tolist()} do not match "
+                f"{source}'s {layout['partitions']}, which the partition gate is built from")
+
     def partition_labels(self) -> np.ndarray:
         """One-hot [V, K] membership matrix for the partition gate."""
         onehot = np.zeros((self.num_joints, self.num_partitions))

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import PartitionGate, SimbaModule
-from .shift_gcn import (
-    SPATIAL_SHIFT,
-    ShiftSGcnBlock,
-    ShiftTcnBlock,
-    UnitTcnResidual,
-    frame_shift,
-)
+from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual
 from .ssm import IMambaBlock, selective_scan_parallel, selective_scan_sequential
 from .tensor import Tensor
 
@@ -189,7 +183,7 @@ def suite_primitives():
     post = _leaf(np.random.default_rng(13), pc.shape)  # added after the ReLU: the kinks stay put
     run("shift_conv_bn_post_skip", conv_bn(True, SPATIAL_SHIFT, True, skip, post),
         dict(leaves, skip=skip, post_skip=post))
-    run("shift_conv_bn_train", conv_bn(True, frame_shift(1), False), leaves)
+    run("shift_conv_bn_train", conv_bn(True, FRAME_SHIFT, False), leaves)
     rm[:] = rng.normal(size=5)
     rv[:] = 0.5 + rng.random(5)
     run("shift_conv_bn_eval", conv_bn(False, None, False), leaves)
@@ -246,7 +240,7 @@ def suite_shift_sgcn():
 
 def suite_shift_tcn():
     rng = np.random.default_rng(41)
-    block = ShiftTcnBlock(4, rng, radius=1)
+    block = ShiftTcnBlock(4, rng)
     x = _leaf(rng, (1, 4, 3, 5))
     checks = [("shift_tcn", check_module(block, x, rng), BLOCK_TOL)]
     unit = UnitTcnResidual(3, 4, rng)

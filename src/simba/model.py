@@ -89,11 +89,10 @@ class SimbaModule(Module):
 
     def __init__(self, c_in: int, c: int, d: int, v: int, w: int,
                  rng: np.random.Generator, *, with_imamba: bool = True,
-                 partition_labels: np.ndarray | None = None,
-                 tcn_radius: int = 1, scan_chunk: int = 0):
+                 partition_labels: np.ndarray | None = None, scan_chunk: int = 0):
         super().__init__()
-        if c % 4 != 0:
-            raise ConfigError(f"channel dimension must be divisible by 4, got {c}")
+        if c < 4 or c % 4 != 0:
+            raise ConfigError(f"channel dimension must be a positive multiple of 4, got {c}")
         self.v = v
         self.entry = ShiftSGcnBlock(c_in, c, rng)
         self.gate = PartitionGate(c, partition_labels, rng) if partition_labels is not None else None
@@ -108,7 +107,7 @@ class SimbaModule(Module):
             ShiftSGcnBlock(c // 4, c // 2, rng),
             ShiftSGcnBlock(c // 2, c, rng),
         ]
-        self.tcn = ShiftTcnBlock(c, rng, radius=tcn_radius)
+        self.tcn = ShiftTcnBlock(c, rng)
         self.residual = UnitTcnResidual(c_in, c, rng)
 
     def encode(self, x_l: Tensor):
@@ -143,16 +142,14 @@ class SimbaModel(Module):
     def __init__(self, *, in_channels: int, channels: int, mamba_d: int,
                  vertices: int, ssm_w: int, depth: int, num_classes: int,
                  rng: np.random.Generator, with_imamba: bool = True,
-                 partition_labels: np.ndarray | None = None,
-                 tcn_radius: int = 1, scan_chunk: int = 0):
+                 partition_labels: np.ndarray | None = None, scan_chunk: int = 0):
         super().__init__()
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth}")
         self.modules_ = [
             SimbaModule(in_channels if i == 0 else channels, channels, mamba_d,
                         vertices, ssm_w, rng, with_imamba=with_imamba,
-                        partition_labels=partition_labels, tcn_radius=tcn_radius,
-                        scan_chunk=scan_chunk)
+                        partition_labels=partition_labels, scan_chunk=scan_chunk)
             for i in range(depth)
         ]
         self.head = Linear(channels, num_classes, rng)

@@ -164,28 +164,27 @@ class BatchNorm2d(Module):
     """Batch-norm state: the affine gain and shift plus the running statistics.
 
     The normalization itself runs inside ``tensor.shift_conv_bn``, fused
-    with the bias-free conv that feeds it.  In eval mode that op folds these
+    with the bias-free conv that feeds it, which updates the running
+    statistics at ``tensor.BN_MOMENTUM``.  In eval mode that op folds these
     arrays into the conv weight and a per-channel shift (scale =
     γ/sqrt(running_var + eps), shift β - running_mean·scale) on each call,
     without rewriting them, and recomputes x̂ in backward only for the γ
-    gradient.
+    gradient.  ``eps`` is the op's default; a test may set it to 0.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
+        self.eps = 1e-5
 
 
 class RMSNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gain = Parameter(np.ones(dim))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.rms_norm(x, self.gain, self.eps)
+        return T.rms_norm(x, self.gain)

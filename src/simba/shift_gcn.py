@@ -10,12 +10,13 @@ they build no index arrays and cache nothing.
 
 Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
 batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over as
-a (forward, adjoint) pair of these maps, ``SPATIAL_SHIFT`` or
-``frame_shift(radius)``.  Each block owns its conv weight ``w`` [Cout, Cin]
-and no conv bias, which the batch-norm after it would cancel.  In eval mode
-the node folds batch-norm into the conv, one GEMM plus a per-channel shift
-[plus skip, ReLU and post_skip], and its backward recomputes x̂ only for
-the γ gradient.
+a (forward, adjoint) pair of these maps: ``SPATIAL_SHIFT``, or
+``FRAME_SHIFT``, the temporal shift at the Shift-GCN recipe's radius of 1.
+Each block owns its conv weight ``w`` [Cout, Cin] and no conv bias, which
+the batch-norm after it would cancel.  In eval mode the node folds
+batch-norm into the conv, one GEMM plus a per-channel shift [plus skip,
+ReLU and post_skip], and its backward recomputes x̂ only for the γ
+gradient.
 """
 
 from __future__ import annotations
@@ -85,23 +86,22 @@ def temporal_shift(x: np.ndarray, radius: int) -> np.ndarray:
     return _shift_frames(x, radius, negate=False)
 
 
-SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
-
-
 def frame_shift(radius: int):
-    """The temporal shift's (forward, adjoint) pair at ``radius``; None at radius 0."""
+    """The temporal shift's (forward, adjoint) pair at ``radius``."""
     if radius < 0:
         raise ShapeError(f"shift radius must be >= 0, got {radius}")
-    if radius == 0:
-        return None
     return (partial(_shift_frames, radius=radius, negate=False),
             partial(_shift_frames, radius=radius, negate=True))
+
+
+SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
+FRAME_SHIFT = frame_shift(1)
 
 
 def _unit(x: Tensor, w: Parameter, bn: BatchNorm2d, shift, relu=False, skip=None,
           post_skip=None) -> Tensor:
     return T.shift_conv_bn(x, w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                           bn.training, shift, relu, skip, post_skip, bn.momentum, bn.eps)
+                           bn.training, shift, relu, skip, post_skip, bn.eps)
 
 
 class ShiftSGcnBlock(Module):
@@ -122,12 +122,13 @@ class ShiftSGcnBlock(Module):
 class ShiftTcnBlock(Module):
     """Temporal shift -> bias-free pointwise conv ``w`` -> BN; shape-preserving, no activation.
 
-    Its output is the ``skip`` of the module exit, ``UnitTcnResidual``.
+    Its output is the ``skip`` of the module exit, ``UnitTcnResidual``.  The
+    shift is ``FRAME_SHIFT``; a test may set ``shift`` to None to turn it off.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, radius: int = 1):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.shift = frame_shift(radius)
+        self.shift = FRAME_SHIFT
         self.w = Parameter(uniform_init(rng, (channels, channels), channels), decay=True)
         self.bn = BatchNorm2d(channels)
 

@@ -508,9 +508,13 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
+# the update rate of batch-norm's running statistics, fixed by the Shift-GCN recipe
+BN_MOMENTUM = 0.1
+
+
 def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
                   shift=None, relu: bool = False, skip=None, post_skip=None,
-                  momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                  eps: float = 1e-5) -> Tensor:
     """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] [+ post_skip] on x[N, Cin, T, V], one graph node.
 
     ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
@@ -519,10 +523,10 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
     it (Ioffe & Szegedy 2015, §3.2), and β shifts the output instead.
     Batch-norm normalizes each output channel over the (N, T, V) axes: train
     mode uses the batch statistics and updates the running arrays in place
-    (exponential moving average, unbiased variance); eval mode uses the
-    running statistics.  ``skip`` and ``post_skip``, each None or a tensor
-    of the output's shape, are added before and after the ReLU, so a
-    residual unit's ReLU(BN(conv(x)) + skip) and a decoder unit's
+    (exponential moving average at rate ``BN_MOMENTUM``, unbiased variance);
+    eval mode uses the running statistics.  ``skip`` and ``post_skip``, each
+    None or a tensor of the output's shape, are added before and after the
+    ReLU, so a residual unit's ReLU(BN(conv(x)) + skip) and a decoder unit's
     ReLU(BN(conv(x))) + post_skip are one node each.
 
     Train mode keeps x̂ (written over the conv output), the output and the
@@ -557,10 +561,10 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         xhat -= mean[:, None]
         var = (xhat * xhat).mean(axis=(0, 2))
         inv = 1.0 / np.sqrt(var + eps)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * count / (count - 1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * count / (count - 1)
         xhat *= inv[:, None]
         out = xhat * gamma.data[:, None]
         out += beta.data[:, None]

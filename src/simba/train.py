@@ -21,7 +21,8 @@ from .model import SimbaModel
 from .tensor import cross_entropy_logits, no_grad
 
 
-# fixed by the Shift-GCN recipe, as is the SGD momentum of 0.9
+# fixed by the Shift-GCN recipe
+MOMENTUM = 0.9
 WARMUP_EPOCHS = 5
 LR_DECAY_RATE = 0.1
 
@@ -42,16 +43,14 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class SGD:
-    """SGD with Nesterov momentum: v = m·v + g, then p -= lr·(g + m·v).
+    """SGD with Nesterov momentum: v = m·v + g, then p -= lr·(g + m·v), m = ``MOMENTUM``.
 
     Weight decay touches only parameters flagged ``decay`` (conv/linear
     weights); a non-finite gradient aborts the step naming the parameter.
     """
 
-    def __init__(self, named_params, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
+    def __init__(self, named_params, weight_decay: float = 0.0):
         self._params = list(named_params)
-        self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = {name: np.zeros_like(p.data) for name, p in self._params}
 
@@ -69,9 +68,9 @@ class SGD:
             if self.weight_decay and getattr(p, "decay", False):
                 g = g + self.weight_decay * p.data
             v = self._velocity[name]
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
-            p.data = p.data - lr * (g + self.momentum * v)
+            p.data = p.data - lr * (g + MOMENTUM * v)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -221,10 +220,13 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
     the console instead.  A step that fails (a non-finite value, or a
     ``DomainError`` such as an underflowed step size) raises ``TrainingAbort``
     naming the epoch and the batch, or the epoch's evaluation.  An empty
-    dataset raises ``ValidationError`` before the first step.
+    dataset, or an evaluation dataset whose classes, joints or (with the
+    partition gate) partition ids differ from the training dataset's, raises
+    ``ValidationError`` before the first step.
     """
     _require_samples(train_ds, "training")
     _require_samples(eval_ds, "evaluation")
+    eval_ds.check_layout(train_ds.layout(), "the training dataset", cfg.partitions_enabled)
     dtype = model.parameters()[0].dtype
     opt = SGD(model.named_parameters(), weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 0xD5])
@@ -288,9 +290,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
                 save_checkpoint(ckpt_path, model, meta={
                     "epoch": epoch, "eval_acc": eval_acc,
                     "config": json.loads(cfg.to_json()), "modality": modality,
-                    "num_classes": train_ds.num_classes,
-                    "num_joints": train_ds.num_joints,
-                    "partitions": train_ds.partitions.tolist(),
+                    **train_ds.layout(),
                 })
         if verbose:
             wall = time.perf_counter() - tic

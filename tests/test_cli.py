@@ -154,6 +154,32 @@ def test_eval_rejects_a_dataset_grouped_unlike_training(tmp_path, toy_config, to
     assert ("dataset partitions [0, 0, 0, 0, 1, 1, 1, 1] do not match the checkpoint's "
             "[0, 0, 0, 1, 1, 1, 2, 2]") in capsys.readouterr().err
     assert not (tmp_path / "s2.json").exists()
+    # train --eval-data checks the same before the first step, when the model gates
+    argv = ["--data", str(data[3]), "--eval-data", str(data[2]), "--quiet"]
+    assert run("train", "--config", str(toy_config), *argv, "--out", str(tmp_path / "plain")) == 0
+    capsys.readouterr()
+    assert run("train", "--config", str(gated), *argv, "--out", str(tmp_path / "gated")) == 1
+    assert ("error: the evaluation dataset partitions [0, 0, 0, 0, 1, 1, 1, 1] do not match "
+            "the training dataset's [0, 0, 0, 1, 1, 1, 2, 2]") in capsys.readouterr().err
+    assert not (tmp_path / "gated").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--classes", "5", "(5 classes, 8 joints) does not match the training dataset (3 classes, 8 joints)"),
+    ("--joints", "10", "(3 classes, 10 joints) does not match the training dataset (3 classes, 8 joints)"),
+])
+def test_train_rejects_an_eval_set_shaped_unlike_training(tmp_path, toy_config, toy_data, capsys,
+                                                          flag, value, message):
+    # a head for 3 classes cannot score 5, nor blocks built for 8 joints take 10
+    eval_data = tmp_path / "eval.skl"
+    flags = {"--classes": "3", "--samples": "2", "--joints": "8", "--frames": "20", flag: value}
+    assert run("synth", "--out", str(eval_data), *(x for item in flags.items() for x in item)) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--eval-data", str(eval_data), "--out", str(out), "--quiet") == 1
+    assert f"error: the evaluation dataset {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_outputs_reproducible_byte_for_byte(tmp_path, toy_config, toy_data):

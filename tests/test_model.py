@@ -18,11 +18,11 @@ from simba.model import (
 from simba.tensor import Tensor
 
 
-def tiny_model(seed=0, with_imamba=True, radius=1, num_classes=10, labels=None):
+def tiny_model(seed=0, with_imamba=True, num_classes=10, labels=None):
     return SimbaModel(in_channels=3, channels=8, mamba_d=2, vertices=4, ssm_w=2,
                       depth=2, num_classes=num_classes,
                       rng=np.random.default_rng(seed), with_imamba=with_imamba,
-                      tcn_radius=radius, partition_labels=labels)
+                      partition_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,9 @@ def test_encoder_ladder_toy():
 
 
 def test_encoder_rejects_unaligned_channels():
-    with pytest.raises(ConfigError):
-        SimbaModule(3, 6, 2, 4, 2, np.random.default_rng(0))
+    for c in (6, 0, -4):
+        with pytest.raises(ConfigError, match=f"positive multiple of 4, got {c}"):
+            SimbaModule(3, c, 2, 4, 2, np.random.default_rng(0))
 
 
 def test_decoder_zeroed_convs_leave_only_skips():
@@ -133,7 +134,9 @@ def test_frame_reversal_changes_logits_with_imamba():
 
 def test_frame_permutation_invariance_without_imamba():
     rng = np.random.default_rng(7)
-    model = tiny_model(seed=1, with_imamba=False, radius=0).eval()
+    model = tiny_model(seed=1, with_imamba=False).eval()
+    for module in model.modules_:
+        module.tcn.shift = None  # no temporal shift: every remaining op is per-frame
     x = rng.normal(size=(2, 3, 6, 4))
     perm = rng.permutation(6)
     with T.no_grad():

@@ -150,7 +150,8 @@ def test_shift_tcn_shape_preserving():
 
 def test_shift_tcn_identity_configuration():
     rng = np.random.default_rng(11)
-    block = ShiftTcnBlock(3, rng, radius=0)
+    block = ShiftTcnBlock(3, rng)
+    block.shift = None
     block.w.data[:] = np.eye(3)
     block.eval()
     block.bn.eps = 0.0
@@ -372,8 +373,3 @@ def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():
         out = block(x)
     assert out._backward is None and out._parents == () and not out.requires_grad
     assert (block.bn.running_mean.tobytes(), block.bn.running_var.tobytes()) == before
-
-
-def test_shift_tcn_rejects_negative_radius():
-    with pytest.raises(ShapeError, match="radius"):
-        ShiftTcnBlock(4, np.random.default_rng(26), radius=-1)

@@ -111,7 +111,7 @@ def test_batchnorm_running_stats_update():
     x = rng.normal(1.5, 2.0, size=(4, 2, 3, 3))
     rm, rv = np.zeros(2), np.ones(2)
     _bn(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-        rm, rv, training=True, momentum=0.1)
+        rm, rv, training=True)
     count = 4 * 3 * 3
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(

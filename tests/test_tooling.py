@@ -8,6 +8,7 @@ and every field must be set differently by some preset or have a reason to
 exist that no preset shows.
 """
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -85,3 +86,51 @@ def test_every_config_field_varies_across_presets_or_is_allowed():
     assert one_valued == set(ONE_VALUED_FIELDS), (
         f"one-valued fields without a reason: {sorted(one_valued - set(ONE_VALUED_FIELDS))}; "
         f"reasons for fields that vary or are gone: {sorted(set(ONE_VALUED_FIELDS) - one_valued)}")
+
+
+# constructor parameters with a default that no call in the program passes,
+# each with the reason it stays a parameter
+UNPASSED_PARAMETERS = {}
+
+
+def _defaulted_init_parameters(tree):
+    """{"Class.param": positional index, or None if keyword-only} for every
+    ``__init__`` parameter with a default."""
+    found = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                args = init.args
+                positional = (args.posonlyargs + args.args)[1:]  # drop self
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    found[f"{cls.name}.{positional[i].arg}"] = i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{cls.name}.{arg.arg}"] = None
+    return found
+
+
+def test_every_defaulted_constructor_parameter_is_passed_or_allowed():
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "simba").glob("*.py"))]
+    params = {}
+    for tree in trees:
+        params.update(_defaulted_init_parameters(tree))
+    assert len(params) > 5
+    passed = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        cls = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        positional = len(node.args)
+        for key, index in params.items():
+            name, param = key.split(".")
+            if name == cls and (param in {k.arg for k in node.keywords}
+                                or (index is not None and index < positional)):
+                passed.add(key)
+    unpassed = set(params) - passed
+    assert unpassed == set(UNPASSED_PARAMETERS), (
+        f"parameters no call passes, without a reason: {sorted(unpassed - set(UNPASSED_PARAMETERS))}; "
+        f"reasons for parameters that are passed or gone: "
+        f"{sorted(set(UNPASSED_PARAMETERS) - unpassed)}")

@@ -16,9 +16,10 @@ from simba.config import PRESETS, TrainConfig, preset_toy
 from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationError
 from simba.data import synth_generate
 from simba.nn import Parameter
-from simba.tensor import Tensor, cross_entropy_logits
-from simba.train import (LR_DECAY_RATE, SGD, WARMUP_EPOCHS, accuracy, build_model, evaluate,
-                         fuse_scores, load_scores, lr_at, save_scores, train)
+from simba.shift_gcn import FRAME_SHIFT, temporal_shift
+from simba.tensor import BN_MOMENTUM, Tensor, cross_entropy_logits
+from simba.train import (LR_DECAY_RATE, MOMENTUM, SGD, WARMUP_EPOCHS, accuracy, build_model,
+                         evaluate, fuse_scores, load_scores, lr_at, save_scores, train)
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +54,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(scan_chunk=-1)
     for name in ("batch_size_train", "batch_size_eval", "window_T", "mamba_D", "ssm_W",
-                 "repeat_augmentation"):
+                 "repeat_augmentation", "depth_l"):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: 0})
+    for channels in (0, -4, 2):  # 0 and -4 are divisible by 4
+        with pytest.raises(ConfigError, match=f"channels_C must be a positive multiple of 4, "
+                                              f"got {channels}"):
+            TrainConfig(channels_C=channels)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -96,7 +101,10 @@ def test_config_json_roundtrip():
 
 def test_presets_match_published_tables():
     ntu = PRESETS["ntu60"]()
-    assert (ntu.base_lr, LR_DECAY_RATE, WARMUP_EPOCHS, SGD([]).momentum) == (0.025, 0.1, 5, 0.9)
+    assert (ntu.base_lr, LR_DECAY_RATE, WARMUP_EPOCHS) == (0.025, 0.1, 5)
+    assert (MOMENTUM, BN_MOMENTUM) == (0.9, 0.1)
+    x = np.random.default_rng(0).normal(size=(1, 6, 4, 2))
+    np.testing.assert_array_equal(FRAME_SHIFT[0](x), temporal_shift(x, 1))  # radius 1
     assert (ntu.milestones, ntu.epochs) == ([75, 85], 90)
     assert (ntu.batch_size_train, ntu.batch_size_eval) == (64, 512)
     assert (ntu.weight_decay, ntu.window_T, ntu.channels_C, ntu.mamba_D) == (1e-4, 64, 216, 20)
@@ -119,14 +127,15 @@ def _param(value, decay=False):
 def test_sgd_plain_step():
     p = _param(1.0)
     p.grad = np.array([0.5])
-    SGD([("p", p)], momentum=0.0, weight_decay=0.0).step(lr=0.1)
-    np.testing.assert_allclose(p.data, [0.95], atol=1e-15)
+    SGD([("p", p)], weight_decay=0.0).step(lr=0.1)
+    # m=0.9, g=0.5, lr=0.1: v = 0.5; w = 1 - 0.1·(0.5 + 0.9·0.5) = 1 - 0.095 = 0.905
+    np.testing.assert_allclose(p.data, [0.905], atol=1e-15)
 
 
 def test_sgd_nesterov_two_step_hand_unroll():
     # m=0.9, wd=0, g=1, lr=1: v1=1, w -= 1.9; v2=1.9, w -= 2.71
     p = _param(0.0)
-    opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
+    opt = SGD([("p", p)], weight_decay=0.0)
     p.grad = np.array([1.0])
     opt.step(lr=1.0)
     np.testing.assert_allclose(p.data, [-1.9], atol=1e-15)
@@ -138,12 +147,13 @@ def test_sgd_nesterov_two_step_hand_unroll():
 def test_weight_decay_skips_undecayed_parameters():
     gain = _param(2.0, decay=False)  # normalization gain / bias style
     weight = _param(2.0, decay=True)
-    opt = SGD([("gain", gain), ("weight", weight)], momentum=0.0, weight_decay=0.1)
+    opt = SGD([("gain", gain), ("weight", weight)], weight_decay=0.1)
     gain.grad = np.array([0.0])
     weight.grad = np.array([0.0])
     opt.step(lr=1.0)
     np.testing.assert_allclose(gain.data, [2.0], atol=1e-15)
-    np.testing.assert_allclose(weight.data, [1.8], atol=1e-15)
+    # m=0.9, g = 0 + 0.1·2 = 0.2, lr=1: v = 0.2; w = 2 - (0.2 + 0.9·0.2) = 2 - 0.38 = 1.62
+    np.testing.assert_allclose(weight.data, [1.62], atol=1e-15)
 
 
 def test_sgd_step_changes_every_nonzero_grad_parameter():
@@ -151,7 +161,7 @@ def test_sgd_step_changes_every_nonzero_grad_parameter():
     p = Parameter(rng.normal(size=(3, 2)), decay=True)
     before = p.data.copy()
     p.grad = rng.normal(size=(3, 2)) + 0.5
-    SGD([("p", p)], momentum=0.9, weight_decay=1e-4).step(lr=0.01)
+    SGD([("p", p)], weight_decay=1e-4).step(lr=0.01)
     assert np.all(p.data != before)
 
 
