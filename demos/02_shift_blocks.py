@@ -1,13 +1,13 @@
-"""How the shift blocks mix information without real graph convolutions.
+"""How the shift units mix information without real graph convolutions.
 
 Run from the repo root:  python3 demos/02_shift_blocks.py
 """
 
 import numpy as np
 
-from simba import ShiftSGcnBlock, ShiftTcnBlock, Tensor, spatial_shift, temporal_shift
+from simba import ShiftUnit, Tensor, spatial_shift, temporal_shift
 from simba import tensor as T
-from simba.shift_gcn import temporal_offsets
+from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, temporal_offsets
 
 print("=== spatial shift: channel c rotates the joint axis by c ===")
 # one frame, 4 channels, 5 joints; values encode the joint index
@@ -30,24 +30,24 @@ shifted = temporal_shift(x, 1)
 for c in range(3):
     print(f"channel {c}: {x[0, c, :, 0]} -> {shifted[0, c, :, 0]}  (zeros enter at the edge)")
 
-print("\n=== the two block types ===")
+print("\n=== one unit class, two shifts ===")
 rng = np.random.default_rng(0)
-sgcn = ShiftSGcnBlock(3, 8, rng)
-tcn = ShiftTcnBlock(8, rng)  # temporal shift of radius 1, the recipe's
+sgcn = ShiftUnit(3, 8, rng, SPATIAL_SHIFT, relu=True)
+tcn = ShiftUnit(8, 8, rng, FRAME_SHIFT, relu=False)  # temporal shift of radius 1, the recipe's
 x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
 hidden = sgcn(x)
 out = tcn(hidden)
-print(f"spatial block: {x.shape} -> {hidden.shape} (shift, 1x1 conv, BN, ReLU)")
-print(f"temporal block: {hidden.shape} -> {out.shape} (shift, 1x1 conv, BN; "
+print(f"spatial unit: {x.shape} -> {hidden.shape} (shift, 1x1 conv, BN, ReLU)")
+print(f"temporal unit: {hidden.shape} -> {out.shape} (shift, 1x1 conv, BN; "
       "the ReLU waits for the residual sum)")
-print("spatial block output is nonnegative:", bool(np.all(hidden.data >= 0)))
+print("spatial unit output is nonnegative:", bool(np.all(hidden.data >= 0)))
 
 
 def graph_nodes(t):
     return sum(1 for node in T._toposort(t) if node._backward is not None)
 
 
-print(f"graph nodes recorded: spatial block {graph_nodes(hidden)}, "
-      f"temporal block {graph_nodes(out) - graph_nodes(hidden)}")
-print("each block is one node: shift, conv, BN (and ReLU) run fused, and the")
+print(f"graph nodes recorded: spatial unit {graph_nodes(hidden)}, "
+      f"temporal unit {graph_nodes(out) - graph_nodes(hidden)}")
+print("each unit is one node: shift, conv, BN (and ReLU) run fused, and the")
 print("backward re-runs the shift instead of keeping the shifted copy.")

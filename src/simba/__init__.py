@@ -41,7 +41,6 @@ from .data import (  # noqa: E402
 from .model import PartitionGate, SimbaModel, SimbaModule, flatten_vertices, unflatten_vertices  # noqa: E402
 from .ssm import (  # noqa: E402
     IMambaBlock,
-    SsmParams,
     lti_conv,
     lti_kernel,
     selective_scan_parallel,
@@ -49,9 +48,7 @@ from .ssm import (  # noqa: E402
     zoh_discretize,
 )
 from .shift_gcn import (  # noqa: E402
-    ShiftSGcnBlock,
-    ShiftTcnBlock,
-    UnitTcnResidual,
+    ShiftUnit,
     spatial_shift,
     temporal_shift,
 )
@@ -61,9 +58,8 @@ from .train import SGD, build_model, evaluate, fuse_scores, lr_at  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "IMambaBlock", "Modality", "PRESETS", "PartitionGate", "SGD",
-    "ShiftSGcnBlock", "ShiftTcnBlock", "SimbaModel", "SimbaModule",
-    "SkeletonDataset", "SsmParams", "Tensor", "TrainConfig", "UnitTcnResidual",
+    "IMambaBlock", "Modality", "PRESETS", "PartitionGate", "SGD", "ShiftUnit",
+    "SimbaModel", "SimbaModule", "SkeletonDataset", "Tensor", "TrainConfig",
     "build_model", "derive_modality", "evaluate", "flatten_vertices",
     "fuse_scores", "load_dataset", "lr_at", "lti_conv", "lti_kernel", "no_grad",
     "sample_window", "save_dataset", "selective_scan_parallel",

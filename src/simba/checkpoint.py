@@ -15,18 +15,21 @@ Layout (all little-endian):
 
 Entry names are namespaced: ``param/...`` for trainable parameters and
 ``buffer/...`` for running statistics.  The file holds exactly what
-loading restores, and no optimizer state.  Loading validates the stored
-names and shapes against the constructed model and fails closed on any
-mismatch.
+loading restores, and no optimizer state.  Reading fails closed on a
+length field past the end of the file, a repeated entry name or trailing
+bytes; loading validates the stored names and shapes against the
+constructed model and fails closed on any mismatch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
+from .data import _bytes_left, _read_exact
 from .errors import FormatError, ValidationError
 
 MAGIC = b"SBCP"
@@ -52,28 +55,20 @@ def _write_entry(f, name: str, arr: np.ndarray) -> None:
     f.write(data.astype(_DTYPE_CODES[code], copy=False).tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError("checkpoint truncated")
-    return buf
-
-
-def _read_entry(f):
-    (name_len,) = struct.unpack("<H", _read_exact(f, 2))
-    raw = _read_exact(f, name_len)
+def _read_entry(f, i: int):
+    (name_len,) = struct.unpack("<H", _read_exact(f, 2, f"entry {i} name length"))
+    raw = _read_exact(f, name_len, f"entry {i} name")
     try:
         name = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"checkpoint entry name {raw!r} is not UTF-8 ({exc})") from exc
-    code, ndim = struct.unpack("<BB", _read_exact(f, 2))
+    code, ndim = struct.unpack("<BB", _read_exact(f, 2, f"entry {name!r} dtype"))
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code} for entry {name!r}")
-    shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
+    shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"entry {name!r} shape"))
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(_read_exact(f, count * dtype.itemsize), dtype=dtype).reshape(shape)
-    return name, arr.copy()
+    payload = _read_exact(f, math.prod(shape) * dtype.itemsize, f"entry {name!r} payload")
+    return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def _model_state(model) -> dict:
@@ -99,20 +94,27 @@ def save_checkpoint(path, model, meta: dict | None = None) -> None:
 def read_checkpoint(path):
     """Return (meta, {name: array}) without validating against a model."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4) != MAGIC:
+        if _read_exact(f, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(f, 2))
+        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4))
+        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "meta length"))
         try:
-            meta = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+            meta = json.loads(_read_exact(f, meta_len, "meta").decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise FormatError(f"{path}: checkpoint meta is not UTF-8 JSON ({exc})") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: checkpoint meta is not a JSON object")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
-        entries = dict(_read_entry(f) for _ in range(count))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, "entry count"))
+        entries = {}
+        for i in range(count):
+            name, arr = _read_entry(f, i)
+            if name in entries:
+                raise FormatError(f"{path}: checkpoint entry {name!r} appears twice")
+            entries[name] = arr
+        if trailing := _bytes_left(f):
+            raise FormatError(f"{path}: {trailing} trailing bytes after the last entry")
     return meta, entries
 
 

@@ -20,6 +20,7 @@ experiments.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -146,11 +147,20 @@ def save_dataset(path, dataset: SkeletonDataset) -> None:
             f.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
 
 
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
+    """The next ``n`` bytes of ``f``, or a FormatError naming ``what`` if fewer are left.
+
+    The check runs before the read, so a corrupt length field fails closed
+    instead of allocating what it claims.
+    """
+    left = _bytes_left(f)
+    if n > left:
+        raise FormatError(f"{f.name}: truncated file, {what} needs {n} bytes and {left} are left")
+    return f.read(n)
 
 
 def load_dataset(path) -> SkeletonDataset:
@@ -171,8 +181,8 @@ def load_dataset(path) -> SkeletonDataset:
             raw = _read_exact(f, 4 * t_raw * v * COORD_DIMS, f"sample {i} frames")
             frames = np.frombuffer(raw, dtype="<f4").reshape(t_raw, v, COORD_DIMS).copy()
             samples.append((int(label), frames))
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after last sample")
+        if trailing := _bytes_left(f):
+            raise FormatError(f"{path}: {trailing} trailing bytes after the last sample")
     return SkeletonDataset(samples, parents, partitions, num_classes, k)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import PartitionGate, SimbaModule
-from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual
+from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftUnit
 from .ssm import IMambaBlock, selective_scan_parallel, selective_scan_sequential
 from .tensor import Tensor
 
@@ -233,25 +233,24 @@ def suite_scan():
 
 def suite_shift_sgcn():
     rng = np.random.default_rng(37)
-    block = ShiftSGcnBlock(4, 3, rng)
+    block = ShiftUnit(4, 3, rng, SPATIAL_SHIFT, relu=True)
     x = Tensor(_away_from_zero(rng, (1, 4, 3, 5), 0.15), requires_grad=True)
     return [("shift_sgcn", check_module(block, x, rng), BLOCK_TOL)]
 
 
 def suite_shift_tcn():
     rng = np.random.default_rng(41)
-    block = ShiftTcnBlock(4, rng)
+    block = ShiftUnit(4, 4, rng, FRAME_SHIFT, relu=False)
     x = _leaf(rng, (1, 4, 3, 5))
     checks = [("shift_tcn", check_module(block, x, rng), BLOCK_TOL)]
-    unit = UnitTcnResidual(3, 4, rng)
+    unit = ShiftUnit(3, 4, rng, None, relu=True)
     xu = _leaf(rng, (1, 3, 3, 5))
     skip = Tensor(np.random.default_rng(42).normal(size=(1, 4, 3, 5)))  # own stream
-    bn = unit.bn
     with T.no_grad():  # move each channel's ReLU threshold into its widest gap
-        pre = T.shift_conv_bn(xu, unit.w, bn.gamma, bn.beta, bn.running_mean.copy(),
-                              bn.running_var.copy(), True, None, skip=skip)
-    bn.beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(4, -1))
-    checks.append(("unit_tcn_residual", check_module(unit, xu, rng, lambda inp: unit(inp, skip)),
+        pre = T.shift_conv_bn(xu, unit.w, unit.gamma, unit.beta, unit.running_mean.copy(),
+                              unit.running_var.copy(), True, None, skip=skip)
+    unit.beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(4, -1))
+    checks.append(("unit_tcn_residual", check_module(unit, xu, rng, lambda inp: unit(inp, skip=skip)),
                    BLOCK_TOL))
     return checks
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .nn import Linear, Module, Parameter, uniform_init
-from .shift_gcn import ShiftSGcnBlock, ShiftTcnBlock, UnitTcnResidual
+from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftUnit
 from .ssm import IMambaBlock
 from .tensor import Tensor
 
@@ -94,21 +94,15 @@ class SimbaModule(Module):
         if c < 4 or c % 4 != 0:
             raise ConfigError(f"channel dimension must be a positive multiple of 4, got {c}")
         self.v = v
-        self.entry = ShiftSGcnBlock(c_in, c, rng)
+        self.entry = ShiftUnit(c_in, c, rng, SPATIAL_SHIFT, relu=True)
         self.gate = PartitionGate(c, partition_labels, rng) if partition_labels is not None else None
-        self.enc = [
-            ShiftSGcnBlock(c, c // 2, rng),
-            ShiftSGcnBlock(c // 2, c // 4, rng),
-            ShiftSGcnBlock(c // 4, d, rng),
-        ]
+        self.enc = [ShiftUnit(a, b, rng, SPATIAL_SHIFT, relu=True)
+                    for a, b in ((c, c // 2), (c // 2, c // 4), (c // 4, d))]
         self.imamba = IMambaBlock(v * d, w, rng, scan_chunk=scan_chunk) if with_imamba else None
-        self.dec = [
-            ShiftSGcnBlock(d, c // 4, rng),
-            ShiftSGcnBlock(c // 4, c // 2, rng),
-            ShiftSGcnBlock(c // 2, c, rng),
-        ]
-        self.tcn = ShiftTcnBlock(c, rng)
-        self.residual = UnitTcnResidual(c_in, c, rng)
+        self.dec = [ShiftUnit(a, b, rng, SPATIAL_SHIFT, relu=True)
+                    for a, b in ((d, c // 4), (c // 4, c // 2), (c // 2, c))]
+        self.tcn = ShiftUnit(c, c, rng, FRAME_SHIFT, relu=False)
+        self.residual = ShiftUnit(c_in, c, rng, None, relu=True)
 
     def encode(self, x_l: Tensor):
         """Run the down ladder; returns the bottleneck and the skip stack."""
@@ -120,9 +114,9 @@ class SimbaModule(Module):
     def decode(self, xn: Tensor, skips) -> Tensor:
         """Run the up ladder; each unit adds its skip after its ReLU, in its own node."""
         x_l, x2, x3 = skips
-        x5 = self.dec[0](xn, x3)
-        x6 = self.dec[1](x5, x2)
-        return self.dec[2](x6, x_l)
+        x5 = self.dec[0](xn, post_skip=x3)
+        x6 = self.dec[1](x5, post_skip=x2)
+        return self.dec[2](x6, post_skip=x_l)
 
     def forward(self, x_in: Tensor) -> Tensor:
         x_l = self.entry(x_in)
@@ -133,7 +127,7 @@ class SimbaModule(Module):
             flat = flatten_vertices(x4)
             x4 = unflatten_vertices(self.imamba(flat), self.v)
         x7 = self.decode(x4, skips)
-        return self.residual(x_in, self.tcn(x7))
+        return self.residual(x_in, skip=self.tcn(x7))
 
 
 class SimbaModel(Module):

@@ -160,27 +160,6 @@ class CausalConv1d(Module):
         return T.causal_conv1d_depthwise(x, self.w, self.b)
 
 
-class BatchNorm2d(Module):
-    """Batch-norm state: the affine gain and shift plus the running statistics.
-
-    The normalization itself runs inside ``tensor.shift_conv_bn``, fused
-    with the bias-free conv that feeds it, which updates the running
-    statistics at ``tensor.BN_MOMENTUM``.  In eval mode that op folds these
-    arrays into the conv weight and a per-channel shift (scale =
-    γ/sqrt(running_var + eps), shift β - running_mean·scale) on each call,
-    without rewriting them, and recomputes x̂ in backward only for the γ
-    gradient.  ``eps`` is the op's default; a test may set it to 0.
-    """
-
-    def __init__(self, channels: int):
-        super().__init__()
-        self.gamma = Parameter(np.ones(channels))
-        self.beta = Parameter(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.eps = 1e-5
-
-
 class RMSNorm(Module):
     def __init__(self, dim: int):
         super().__init__()

@@ -8,11 +8,11 @@ boundaries.  Both shifts are numpy maps on [N, C, T, V] arrays, not graph
 ops: slice copies, one or two per class of channels that move alike, so
 they build no index arrays and cache nothing.
 
-Each block is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv ->
-batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over as
-a (forward, adjoint) pair of these maps: ``SPATIAL_SHIFT``, or
+Each ``ShiftUnit`` is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv
+-> batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over
+as a (forward, adjoint) pair of these maps: ``SPATIAL_SHIFT``, or
 ``FRAME_SHIFT``, the temporal shift at the Shift-GCN recipe's radius of 1.
-Each block owns its conv weight ``w`` [Cout, Cin] and no conv bias, which
+Each unit owns its conv weight ``w`` [Cout, Cin] and no conv bias, which
 the batch-norm after it would cancel.  In eval mode the node folds
 batch-norm into the conv, one GEMM plus a per-channel shift [plus skip,
 ReLU and post_skip], and its backward recomputes x̂ only for the γ
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .nn import BatchNorm2d, Module, Parameter, uniform_init
+from .nn import Module, Parameter, uniform_init
 from .tensor import Tensor
 
 
@@ -98,52 +98,30 @@ SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
 FRAME_SHIFT = frame_shift(1)
 
 
-def _unit(x: Tensor, w: Parameter, bn: BatchNorm2d, shift, relu=False, skip=None,
-          post_skip=None) -> Tensor:
-    return T.shift_conv_bn(x, w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                           bn.training, shift, relu, skip, post_skip, bn.eps)
+class ShiftUnit(Module):
+    """shift -> bias-free pointwise conv ``w`` -> BN [+ skip] [-> ReLU] [+ post_skip], Cin to Cout.
 
-
-class ShiftSGcnBlock(Module):
-    """Spatial shift -> bias-free pointwise conv ``w`` -> BN -> ReLU [+ post_skip], Cin to Cout.
-
-    A decoder unit hands its encoder skip as ``post_skip``, added after the ReLU.
+    The S-GCN units take ``SPATIAL_SHIFT`` and a ReLU, a decoder unit adding
+    its encoder skip as ``post_skip``; the T-GCN takes ``FRAME_SHIFT`` and no
+    ReLU; the module exit takes no shift and adds its ``skip`` before the
+    ReLU.  The unit owns batch-norm's ``gamma``, ``beta`` and running
+    statistics, which the node updates at ``tensor.BN_MOMENTUM`` in train
+    mode.  ``eps`` is the op's default; a test may set it to 0.
     """
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, shift, relu: bool):
         super().__init__()
+        self.shift = shift
+        self.relu = relu
         self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
-        self.bn = BatchNorm2d(c_out)
+        self.gamma = Parameter(np.ones(c_out))
+        self.beta = Parameter(np.zeros(c_out))
+        self.running_mean = np.zeros(c_out)
+        self.running_var = np.ones(c_out)
+        self.eps = 1e-5
 
-    def forward(self, x: Tensor, post_skip: Tensor | None = None) -> Tensor:
-        return _unit(x, self.w, self.bn, SPATIAL_SHIFT, relu=True, post_skip=post_skip)
-
-
-class ShiftTcnBlock(Module):
-    """Temporal shift -> bias-free pointwise conv ``w`` -> BN; shape-preserving, no activation.
-
-    Its output is the ``skip`` of the module exit, ``UnitTcnResidual``.  The
-    shift is ``FRAME_SHIFT``; a test may set ``shift`` to None to turn it off.
-    """
-
-    def __init__(self, channels: int, rng: np.random.Generator):
-        super().__init__()
-        self.shift = FRAME_SHIFT
-        self.w = Parameter(uniform_init(rng, (channels, channels), channels), decay=True)
-        self.bn = BatchNorm2d(channels)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _unit(x, self.w, self.bn, self.shift)
-
-
-class UnitTcnResidual(Module):
-    """The module exit, Cin to Cout: ReLU(BN(conv(x)) + skip), with a bias-free
-    pointwise conv ``w``."""
-
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        super().__init__()
-        self.w = Parameter(uniform_init(rng, (c_out, c_in), c_in), decay=True)
-        self.bn = BatchNorm2d(c_out)
-
-    def forward(self, x: Tensor, skip: Tensor) -> Tensor:
-        return _unit(x, self.w, self.bn, None, relu=True, skip=skip)
+    def forward(self, x: Tensor, skip: Tensor | None = None,
+                post_skip: Tensor | None = None) -> Tensor:
+        return T.shift_conv_bn(x, self.w, self.gamma, self.beta, self.running_mean,
+                               self.running_var, self.training, self.shift, self.relu,
+                               skip, post_skip, self.eps)

@@ -302,26 +302,37 @@ def selective_scan_parallel(delta: Tensor, a_cont: Tensor, b: Tensor, c: Tensor,
 # the gated selective-SSM block
 # ---------------------------------------------------------------------------
 
-class SsmParams(Module):
-    """Parameters of the selective system over Dp channels and W states.
+class IMambaBlock(Module):
+    """Gated selective-scan layer with RMS norm and a residual connection.
 
-    A is stored as -exp(a_log) so it stays strictly negative; the step-size
-    bias p is placed so softplus(p) starts log-uniform in [1e-3, 1e-1].
-    Selection projections: w_b/w_c map channels to per-step B/C (with bias,
-    so zero weights leave a usable time-invariant system), w_dt maps to a
-    single step-size logit broadcast across channels.
+    Input and output are [N, T, Dp].  The scanned branch is a width-4 causal
+    depthwise conv + SiLU; the gate branch is a plain linear + SiLU; their
+    product is projected back to Dp and RMS-normalized (post-norm) before
+    the residual is added.
+
+    The selective system has Dp channels and W states.  A is stored as
+    -exp(a_log) so it stays strictly negative; the step-size bias p is
+    placed so softplus(p) starts log-uniform in [1e-3, 1e-1].  Selection
+    projections: w_b/w_c map channels to per-step B/C (with bias, so zero
+    weights leave a usable time-invariant system), w_dt maps to a single
+    step-size logit broadcast across channels.
     """
 
-    def __init__(self, dp: int, w: int, rng: np.random.Generator):
+    def __init__(self, dp: int, w: int, rng: np.random.Generator, scan_chunk: int = 0):
         super().__init__()
         self.dp = dp
-        self.w = w
         self.a_log = Parameter(np.tile(np.log(np.arange(1.0, w + 1)), (dp, 1)))
         step = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=dp))
         self.p = Parameter(np.log(np.expm1(step)))
         self.w_b = Linear(dp, w, rng)
         self.w_c = Linear(dp, w, rng)
         self.w_dt = Linear(dp, 1, rng, bias=False)
+        self.in_proj_y = Linear(dp, dp, rng)
+        self.in_proj_z = Linear(dp, dp, rng)
+        self.conv = CausalConv1d(dp, 4, rng)
+        self.out_proj = Linear(dp, dp, rng)
+        self.norm = RMSNorm(dp)
+        self.scan_chunk = scan_chunk
 
     def a_cont(self) -> Tensor:
         return -T.exp(self.a_log)
@@ -331,34 +342,12 @@ class SsmParams(Module):
         logit = self.w_dt(x)  # [N, T, 1], broadcast across channels
         return T.softplus(logit + self.p)
 
-
-class IMambaBlock(Module):
-    """Gated selective-scan layer with RMS norm and a residual connection.
-
-    Input and output are [N, T, Dp].  The scanned branch is a width-4 causal
-    depthwise conv + SiLU; the gate branch is a plain linear + SiLU; their
-    product is projected back to Dp and RMS-normalized (post-norm) before
-    the residual is added.
-    """
-
-    def __init__(self, dp: int, w: int, rng: np.random.Generator, scan_chunk: int = 0):
-        super().__init__()
-        self.dp = dp
-        self.ssm = SsmParams(dp, w, rng)
-        self.in_proj_y = Linear(dp, dp, rng)
-        self.in_proj_z = Linear(dp, dp, rng)
-        self.conv = CausalConv1d(dp, 4, rng)
-        self.out_proj = Linear(dp, dp, rng)
-        self.norm = RMSNorm(dp)
-        self.scan_chunk = scan_chunk
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dp:
             raise ShapeError(f"block configured for [N,T,{self.dp}], got {x.shape}")
         y = T.silu(self.conv(self.in_proj_y(x)))
         z = T.silu(self.in_proj_z(x))
-        ssm = self.ssm
-        args = (ssm.delta(x), ssm.a_cont(), ssm.w_b(x), ssm.w_c(x), y)
+        args = (self.delta(x), self.a_cont(), self.w_b(x), self.w_c(x), y)
         if self.scan_chunk > 1:
             s = selective_scan_parallel(*args, self.scan_chunk)
         else:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from simba import cli
+from simba.checkpoint import read_checkpoint
 from simba.config import preset_toy
+from simba.data import load_dataset
+from simba.errors import FormatError
 
 
 def run(*argv):
@@ -313,6 +316,32 @@ def test_missing_file_is_runtime_failure(tmp_path, capsys):
     assert run("eval", "--ckpt", str(tmp_path / "none.bin"),
                "--data", str(tmp_path / "none.skl"), "--scores",
                str(tmp_path / "s.json")) == 2
+
+
+def test_an_oversized_frame_count_fails_closed_and_exits_one(tmp_path, capsys):
+    # sample 0 claims 2^32 - 1 frames of 25 joints; the file ends 64 bytes later
+    v = 25
+    path = tmp_path / "huge.skl"
+    path.write_bytes(b"SKL1" + struct.pack("<HIHHHH", 1, 1, v, 3, 2, 1)
+                     + np.maximum(np.arange(v) - 1, 0).astype("<u2").tobytes() + bytes(2 * v)
+                     + struct.pack("<II", 0, 2**32 - 1) + bytes(64))
+    with pytest.raises(FormatError, match=r"sample 0 frames needs \d+ bytes and 64 are left"):
+        load_dataset(path)
+    assert run("train", "--data", str(path), "--out", str(tmp_path / "run"), "--quiet") == 1
+    assert "sample 0 frames needs" in capsys.readouterr().err
+
+
+def test_an_oversized_checkpoint_entry_fails_closed_and_exits_one(tmp_path, toy_data, capsys):
+    # the one entry claims 65535^3 float32 values; the file ends 16 bytes later
+    name = b"param/modules_.0.entry.w"
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"SBCP" + struct.pack("<HI", 1, 2) + b"{}" + struct.pack("<IH", 1, len(name))
+                     + name + struct.pack("<BB3I", 4, 3, 65535, 65535, 65535) + bytes(16))
+    with pytest.raises(FormatError, match=r"entry 'param/modules_.0.entry.w' payload needs"):
+        read_checkpoint(path)
+    assert run("eval", "--ckpt", str(path), "--data", str(toy_data),
+               "--scores", str(tmp_path / "s.json")) == 1
+    assert "entry 'param/modules_.0.entry.w' payload needs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -6,7 +6,7 @@ import pytest
 
 from simba import nn
 from simba import tensor as T
-from simba.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from simba.checkpoint import _write_entry, load_checkpoint, read_checkpoint, save_checkpoint
 from simba.errors import ConfigError, FormatError, ShapeError, ValidationError
 from simba.model import (
     PartitionGate,
@@ -354,6 +354,51 @@ def test_checkpoint_rejects_a_stray_entry_naming_it(tmp_path, stray):
     with pytest.raises(ValidationError, match=re.escape(f"0 missing, first []; 1 unknown, "
                                                         f"first ['{stray}']")):
         load_checkpoint(path, tiny_model(seed=9))
+
+
+def test_checkpoint_with_batch_norm_and_ssm_sub_blocks_is_rejected(tmp_path):
+    # files written when batch-norm and the SSM parameters were sub-blocks
+    # name them "<unit>.bn.gamma" and "imamba.ssm.a_log"; no fallback reads them
+    model = tiny_model(seed=12)
+    state = {"param/" + n: p.data for n, p in model.named_parameters()}
+    state.update(("buffer/" + n, b) for n, b in model.named_buffers())
+    path = tmp_path / "older.bin"
+    with open(path, "wb") as f:
+        f.write(b"SBCP" + struct.pack("<HI", 1, 2) + b"{}" + struct.pack("<I", len(state)))
+        for name, arr in state.items():
+            name = re.sub(r"\.(gamma|beta|running_mean|running_var)$", r".bn.\1", name)
+            _write_entry(f, re.sub(r"\.imamba\.(a_log|p|w_b|w_c|w_dt)\b", r".imamba.ssm.\1", name), arr)
+    with pytest.raises(ValidationError, match=re.escape(
+            "86 missing, first ['buffer/modules_.0.dec.0.running_mean'")) as info:
+        load_checkpoint(path, tiny_model(seed=13))
+    assert "86 unknown, first ['buffer/modules_.0.dec.0.bn.running_mean'" in str(info.value)
+    assert "param/modules_.0.imamba.ssm.a_log" in read_checkpoint(path)[1]
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    save_checkpoint(tmp_path / "ckpt.bin", tiny_model(seed=10))
+    path = tmp_path / "trailing.bin"
+    path.write_bytes((tmp_path / "ckpt.bin").read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes after the last entry"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_entry_naming_it(tmp_path):
+    # a later copy of an entry would silently win over the first
+    model = tiny_model(seed=11)
+    save_checkpoint(tmp_path / "ckpt.bin", model)
+    raw = (tmp_path / "ckpt.bin").read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[6:10])
+    at = 10 + meta_len
+    (count,) = struct.unpack("<I", raw[at:at + 4])
+    w = model.modules_[0].entry.w.data
+    name = b"param/modules_.0.entry.w"
+    entry = (struct.pack("<H", len(name)) + name + struct.pack("<BB2I", 8, 2, *w.shape)
+             + np.full(w.shape, 7.0).astype("<f8").tobytes())
+    path = tmp_path / "repeated.bin"
+    path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + entry)
+    with pytest.raises(FormatError, match=re.escape("entry 'param/modules_.0.entry.w' appears twice")):
+        read_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -4,10 +4,9 @@ import pytest
 from simba import tensor as T
 from simba.errors import ShapeError
 from simba.shift_gcn import (
+    FRAME_SHIFT,
     SPATIAL_SHIFT,
-    ShiftSGcnBlock,
-    ShiftTcnBlock,
-    UnitTcnResidual,
+    ShiftUnit,
     frame_shift,
     spatial_shift,
     temporal_offsets,
@@ -111,10 +110,10 @@ def test_temporal_shift_boundary_mass_accounting():
 
 def test_shift_sgcn_identity_conv_passthrough():
     rng = np.random.default_rng(6)
-    block = ShiftSGcnBlock(3, 3, rng)
+    block = ShiftUnit(3, 3, rng, SPATIAL_SHIFT, relu=True)
     block.w.data[:] = np.eye(3)
     block.eval()  # running stats are mean 0 / var 1 -> BN ~ identity at eps=0
-    block.bn.eps = 0.0
+    block.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
     expected = np.maximum(spatial_shift(x), 0.0)
     np.testing.assert_allclose(block(Tensor(x)).data, expected, atol=1e-12)
@@ -122,53 +121,52 @@ def test_shift_sgcn_identity_conv_passthrough():
 
 def test_shift_sgcn_encoder_shape_contract():
     rng = np.random.default_rng(7)
-    block = ShiftSGcnBlock(216, 108, rng)
+    block = ShiftUnit(216, 108, rng, SPATIAL_SHIFT, relu=True)
     x = Tensor(rng.normal(size=(2, 216, 64, 25)))
     assert block(x).shape == (2, 108, 64, 25)
 
 
 def test_shift_sgcn_output_nonnegative():
     rng = np.random.default_rng(8)
-    block = ShiftSGcnBlock(4, 6, rng)
+    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     out = block(Tensor(rng.normal(size=(2, 4, 5, 3))))
     assert np.all(out.data >= 0.0)
 
 
 def test_shift_sgcn_channel_mismatch():
     rng = np.random.default_rng(9)
-    block = ShiftSGcnBlock(4, 6, rng)
+    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     with pytest.raises(ShapeError):
         block(Tensor(np.zeros((1, 5, 2, 2))))
 
 
 def test_shift_tcn_shape_preserving():
     rng = np.random.default_rng(10)
-    block = ShiftTcnBlock(216, rng)
+    block = ShiftUnit(216, 216, rng, FRAME_SHIFT, relu=False)
     x = Tensor(rng.normal(size=(2, 216, 64, 25)))
     assert block(x).shape == (2, 216, 64, 25)
 
 
 def test_shift_tcn_identity_configuration():
     rng = np.random.default_rng(11)
-    block = ShiftTcnBlock(3, rng)
-    block.shift = None
+    block = ShiftUnit(3, 3, rng, None, relu=False)
     block.w.data[:] = np.eye(3)
     block.eval()
-    block.bn.eps = 0.0
+    block.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
     np.testing.assert_allclose(block(Tensor(x)).data, x, atol=1e-12)
 
 
 def test_unit_tcn_maps_channels():
     rng = np.random.default_rng(12)
-    block = UnitTcnResidual(3, 8, rng)
-    out = block(Tensor(rng.normal(size=(2, 3, 4, 5))), Tensor(rng.normal(size=(2, 8, 4, 5))))
+    block = ShiftUnit(3, 8, rng, None, relu=True)
+    out = block(Tensor(rng.normal(size=(2, 3, 4, 5))), skip=Tensor(rng.normal(size=(2, 8, 4, 5))))
     assert out.shape == (2, 8, 4, 5) and np.all(out.data >= 0.0)
 
 
 def test_blocks_differentiable_end_to_end():
     rng = np.random.default_rng(13)
-    block = ShiftSGcnBlock(3, 4, rng)
+    block = ShiftUnit(3, 4, rng, SPATIAL_SHIFT, relu=True)
     x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     block(x).sum().backward()
     assert x.grad is not None and np.all(np.isfinite(x.grad))
@@ -291,8 +289,8 @@ def _op_nodes(out):
 
 
 @pytest.mark.parametrize("make,expected", [
-    (lambda rng: ShiftSGcnBlock(4, 6, rng), 1),  # shift, conv, bn, relu fused
-    (lambda rng: ShiftTcnBlock(4, rng), 1),  # shift, conv, bn fused
+    (lambda rng: ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True), 1),  # shift, conv, bn, relu fused
+    (lambda rng: ShiftUnit(4, 4, rng, FRAME_SHIFT, relu=False), 1),  # shift, conv, bn fused
 ], ids=["sgcn", "tcn"])
 def test_shift_blocks_record_one_node_per_op(make, expected):
     rng = np.random.default_rng(24)
@@ -319,11 +317,11 @@ def test_shift_sgcn_node_keeps_no_shifted_input():
     # the backward re-runs the shift instead of keeping the shifted copy in
     # any layout; Cin != Cout keeps x̂ and the output apart by size
     rng = np.random.default_rng(25)
-    block = ShiftSGcnBlock(4, 6, rng)
+    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     out = block(x)
     assert _op_nodes(out) == 1
-    params = (block.w, block.bn.gamma, block.bn.beta)
+    params = (block.w, block.gamma, block.beta)
     assert out._parents == (x, *params)
     held = [a.shape for a in _held_arrays(out)]
     assert held and all(np.prod(shape) != x.size for shape in held), held
@@ -335,9 +333,9 @@ def test_shift_sgcn_node_keeps_xhat_only_in_train_mode(training):
     # itself (which the returned tensor owns) it holds nothing of the
     # output's size; train mode keeps x̂, which shows the walk can see it
     rng = np.random.default_rng(27)
-    block = ShiftSGcnBlock(4, 6, rng)
-    block.bn.running_mean[:] = rng.normal(size=6)
-    block.bn.running_var[:] = 0.5 + rng.random(6)
+    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block.running_mean[:] = rng.normal(size=6)
+    block.running_var[:] = 0.5 + rng.random(6)
     block.train(training)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     out = block(x)
@@ -351,11 +349,11 @@ def test_decoder_unit_keeps_a_bool_relu_mask(training):
     # the skip added after the ReLU hides the mask in the output, so the node
     # keeps it as a bool array, besides x̂ in train mode, and no float copy
     rng = np.random.default_rng(29)
-    block = ShiftSGcnBlock(4, 6, rng)
+    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     block.train(training)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     skip = Tensor(rng.normal(size=(2, 6, 5, 3)), requires_grad=True)
-    out = block(x, skip)
+    out = block(x, post_skip=skip)
     assert _op_nodes(out) == 1 and out._parents[-1] is skip
     extra = [a.dtype for a in _held_arrays(out) if a.size == out.size and not np.shares_memory(a, out.data)]
     assert sorted(map(str, extra)) == (["bool", "float64"] if training else ["bool"]), extra
@@ -363,13 +361,13 @@ def test_decoder_unit_keeps_a_bool_relu_mask(training):
 
 def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():
     rng = np.random.default_rng(28)
-    block = ShiftTcnBlock(6, rng)
-    block.bn.running_mean[:] = rng.normal(size=6)
-    block.bn.running_var[:] = 0.5 + rng.random(6)
+    block = ShiftUnit(6, 6, rng, FRAME_SHIFT, relu=False)
+    block.running_mean[:] = rng.normal(size=6)
+    block.running_var[:] = 0.5 + rng.random(6)
     block.eval()
-    before = (block.bn.running_mean.tobytes(), block.bn.running_var.tobytes())
+    before = (block.running_mean.tobytes(), block.running_var.tobytes())
     x = Tensor(rng.normal(size=(2, 6, 5, 3)), requires_grad=True)
     with T.no_grad():
         out = block(x)
     assert out._backward is None and out._parents == () and not out.requires_grad
-    assert (block.bn.running_mean.tobytes(), block.bn.running_var.tobytes()) == before
+    assert (block.running_mean.tobytes(), block.running_var.tobytes()) == before

@@ -9,7 +9,6 @@ from simba import tensor as T
 from simba.errors import DomainError, ShapeError
 from simba.ssm import (
     IMambaBlock,
-    SsmParams,
     lti_conv,
     lti_kernel,
     selective_scan_parallel,
@@ -490,20 +489,20 @@ def test_imamba_lti_mode_matches_kernel_convolution():
     rng = np.random.default_rng(12)
     dp, w, t = 4, 3, 24
     block = IMambaBlock(dp, w, rng)
-    block.ssm.w_b.w.data[:] = 0.0
-    block.ssm.w_c.w.data[:] = 0.0
-    block.ssm.w_dt.w.data[:] = 0.0
-    block.ssm.w_b.b.data[:] = rng.normal(size=w)
-    block.ssm.w_c.b.data[:] = rng.normal(size=w)
+    block.w_b.w.data[:] = 0.0
+    block.w_c.w.data[:] = 0.0
+    block.w_dt.w.data[:] = 0.0
+    block.w_b.b.data[:] = rng.normal(size=w)
+    block.w_c.b.data[:] = rng.normal(size=w)
 
     y = Tensor(rng.normal(size=(1, t, dp)))
-    p = block.ssm
-    scan_out = selective_scan_sequential(p.delta(y), p.a_cont(), p.w_b(y), p.w_c(y), y).data[0]
+    scan_out = selective_scan_sequential(block.delta(y), block.a_cont(), block.w_b(y), block.w_c(y),
+                                         y).data[0]
 
-    a = -np.exp(block.ssm.a_log.data)
-    deltas = np.log1p(np.exp(block.ssm.p.data))
+    a = -np.exp(block.a_log.data)
+    deltas = np.log1p(np.exp(block.p.data))
     for d in range(dp):
-        kernel = lti_kernel(a[d], block.ssm.w_b.b.data, block.ssm.w_c.b.data,
+        kernel = lti_kernel(a[d], block.w_b.b.data, block.w_c.b.data,
                             float(deltas[d]), t)
         ref = lti_conv(y.data[0, :, d], kernel)
         assert np.max(np.abs(scan_out[:, d] - ref)) <= 1e-10
@@ -511,7 +510,7 @@ def test_imamba_lti_mode_matches_kernel_convolution():
 
 def test_ssm_params_invariants():
     rng = np.random.default_rng(14)
-    params = SsmParams(5, 4, rng)
+    params = IMambaBlock(5, 4, rng)
     assert np.all(params.a_cont().data < 0.0)
     x = Tensor(rng.normal(size=(2, 6, 5)) * 10)
     assert np.all(params.delta(x).data > 0.0)

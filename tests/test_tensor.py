@@ -5,7 +5,7 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
-from simba.shift_gcn import SPATIAL_SHIFT, UnitTcnResidual, frame_shift
+from simba.shift_gcn import SPATIAL_SHIFT, ShiftUnit, frame_shift
 from simba.tensor import Tensor
 from simba.train import softmax
 
@@ -604,18 +604,17 @@ def test_relu_subgradient_at_zero_is_zero():
     # an eval residual unit with skip = -(its pre-activation): the sum is
     # exactly 0 at the first position, and its gradient there is 0
     rng = np.random.default_rng(19)
-    unit = UnitTcnResidual(2, 3, rng)
+    unit = ShiftUnit(2, 3, rng, None, relu=True)
     unit.eval()
-    bn = unit.bn
     x = Tensor(rng.normal(size=(1, 2, 1, 3)))
     with T.no_grad():
-        pre = T.shift_conv_bn(x, unit.w, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+        pre = T.shift_conv_bn(x, unit.w, unit.gamma, unit.beta, unit.running_mean, unit.running_var,
                               False, None, relu=False).data
     skip0 = -pre
     skip0[..., 1] -= 1.0  # below the kink
     skip0[..., 2] += 1.0  # above it
     skip = Tensor(skip0, requires_grad=True)
-    out = unit(x, skip)
+    out = unit(x, skip=skip)
     assert np.all(out.data[..., :2] == 0.0) and np.all(out.data[..., 2] > 0.0)
     out.sum().backward()
     np.testing.assert_array_equal(skip.grad[0, :, 0], [[0.0, 0.0, 1.0]] * 3)

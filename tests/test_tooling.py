@@ -5,7 +5,8 @@ A rename in ``simba`` would otherwise zero a per-layer metric in silence
 target), instead of failing here.  Likewise every config field must be
 read somewhere, so that a field whose code path is deleted goes with it,
 and every field must be set differently by some preset or have a reason to
-exist that no preset shows.
+exist that no preset shows.  Every ``Module`` subclass must be a layer with
+a ``forward``, not a container of parameters for another layer to unpack.
 """
 
 import ast
@@ -36,6 +37,9 @@ DELETED_NAMES = {
     "nn.PointwiseConv2d": "the partition gate's conv is inside tensor.partition_gate; "
                           "perfbench/spans.py LAYER_OF drops it at the benchmark refresh "
                           "(ROADMAP item 13)",
+    "nn.BatchNorm2d": "each shift_gcn.ShiftUnit owns its batch-norm state; perfbench/spans.py "
+                      "LAYER_OF drops it at the benchmark refresh (ROADMAP item 13), and its "
+                      "nn.batch_norm.* metrics read 0 already, as the class had no forward",
 }
 
 
@@ -134,3 +138,28 @@ def test_every_defaulted_constructor_parameter_is_passed_or_allowed():
         f"parameters no call passes, without a reason: {sorted(unpassed - set(UNPASSED_PARAMETERS))}; "
         f"reasons for parameters that are passed or gone: "
         f"{sorted(set(UNPASSED_PARAMETERS) - unpassed)}")
+
+
+def test_every_module_subclass_defines_forward():
+    # a Module with no forward is a parameter container, whose every field
+    # its caller unpacks by hand; the layer that uses the fields owns them
+    classes = {}
+    for path in sorted((ROOT / "src" / "simba").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+
+    def bases(cls):
+        return [getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases]
+
+    def is_module(name):
+        return name == "Module" or (name in classes and any(map(is_module, bases(classes[name]))))
+
+    def has_forward(name):
+        cls = classes[name]
+        return (any(isinstance(f, ast.FunctionDef) and f.name == "forward" for f in cls.body)
+                or any(b in classes and b != "Module" and has_forward(b) for b in bases(cls)))
+
+    modules = [name for name in classes if name != "Module" and is_module(name)]
+    assert len(modules) >= 8, modules
+    assert [name for name in modules if not has_forward(name)] == []

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import platform
@@ -402,21 +403,79 @@ def test_train_step_reuses_the_heap():
         "    step(i)\n"
         "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
     )
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     faults_per_step = float(proc.stdout.split()[-1])
     assert faults_per_step <= 100, faults_per_step
 
 
+def _subprocess_env():
+    """This process's environment, with the package and this directory importable."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _blas_corename():
+    """The kernel the loaded OpenBLAS runs, such as 'SkylakeX', or None if it cannot say."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def _criterion_8_metrics(out_dir):
+    """The per-epoch records of acceptance criterion 8's float64 toy run."""
+    cfg = preset_toy()
+    cfg.epochs = 2
+    cfg.milestones = [1]
+    cfg.precision = "float64"
+    cfg.seed = 9
+    ds = synth_generate(3, 6, v=8, t_raw=20, noise=0.05, seed=9)
+    train(build_model(cfg, ds), ds, ds, cfg, out_dir=out_dir, verbose=False)
+    return [json.loads(line) for line in (Path(out_dir) / "metrics.jsonl").read_text().splitlines()]
+
+
+def test_toy_training_agrees_across_blas_kernels(tmp_path):
+    # criterion 8's run is byte-identical under one BLAS kernel; another
+    # kernel rounds GEMMs differently, so across kernels the losses agree
+    # closely and the accuracies exactly
+    script = ("import json, sys\n"
+              "from test_train import _blas_corename, _criterion_8_metrics\n"
+              "print(json.dumps([_blas_corename(), _criterion_8_metrics(sys.argv[1])]))\n")
+    runs = []
+    env = {k: v for k, v in _subprocess_env().items() if k != "OPENBLAS_CORETYPE"}
+    for i, coretype in enumerate(({}, {"OPENBLAS_CORETYPE": "Haswell"})):
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / f"run{i}")],
+                              env={**env, **coretype}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    (kernel, log), (other_kernel, other_log) = runs
+    if kernel is None or kernel == other_kernel:
+        pytest.skip(f"OpenBLAS runs one kernel here ({kernel}, {other_kernel})")
+    assert len(log) == len(other_log) == 2
+    for epoch, other in zip(log, other_log):
+        assert abs(epoch["train_loss"] - other["train_loss"]) <= 1e-12 * abs(epoch["train_loss"])
+        assert (epoch["train_acc"], epoch["eval_acc"]) == (other["train_acc"], other["eval_acc"])
+
+
 def test_step_size_underflow_aborts_with_location():
     cfg, ds, model = _toy_setup(seed=4, epochs=1, precision="float32")
     for module in model.modules_:
-        module.imamba.ssm.p.data[...] = -1e4  # softplus underflows to a zero step
+        module.imamba.p.data[...] = -1e4  # softplus underflows to a zero step
     with pytest.raises(TrainingAbort, match=r"epoch 0, batch 0") as info:
         train(model, ds, ds, cfg, verbose=False)
     assert isinstance(info.value.__cause__, DomainError)
@@ -455,7 +514,7 @@ def test_non_finite_evaluation_fails_closed():
     # stay finite and only the evaluation goes NaN
     cfg, ds, model = _toy_setup(seed=5, epochs=1)
     cfg.batch_size_eval = 8
-    model.modules_[-1].residual.bn.running_mean[0] = np.nan
+    model.modules_[-1].residual.running_mean[0] = np.nan
     with pytest.raises(DomainError, match=r"non-finite logits for samples \[0, 8\)"):
         evaluate(model, ds, cfg)
     with pytest.raises(TrainingAbort, match=r"epoch 0, evaluation: non-finite logits"):
