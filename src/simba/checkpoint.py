@@ -119,12 +119,18 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path, model) -> dict:
-    """Restore model state; returns the meta dict.
-
-    The checkpoint's entries must be exactly the model's parameters and
-    buffers, each with the model's shape.
-    """
+    """Restore model state from the file at ``path``; returns the meta dict."""
     meta, entries = read_checkpoint(path)
+    restore_checkpoint(model, entries)
+    return meta
+
+
+def restore_checkpoint(model, entries: dict) -> None:
+    """Copy the entries that ``read_checkpoint`` returned into the model.
+
+    The entries must be exactly the model's parameters and buffers, each
+    with the model's shape.
+    """
     state = _model_state(model)
     missing = sorted(set(state) - set(entries))
     unknown = sorted(set(entries) - set(state))
@@ -138,4 +144,3 @@ def load_checkpoint(path, model) -> dict:
             raise ValidationError(
                 f"{name!r}: checkpoint shape {arr.shape} != model shape {target.shape}")
         target[...] = arr  # in place, cast to the model's dtype
-    return meta

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bench import bench_scan, rows_to_csv
-from .checkpoint import load_checkpoint, read_checkpoint
+from .checkpoint import read_checkpoint, restore_checkpoint
 from .config import PRESETS, TrainConfig
 from .data import Modality, load_dataset, save_dataset, synth_generate
 from .errors import SimbaError, TrainingAbort, ValidationError
@@ -103,7 +103,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    meta, _ = read_checkpoint(args.ckpt)
+    meta, entries = read_checkpoint(args.ckpt)
     missing = [key for key in ("config", "modality", "num_classes", "num_joints", "partitions")
                if key not in meta]
     if missing:
@@ -117,7 +117,8 @@ def _cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     ds.check_layout(meta, "the checkpoint", cfg.partitions_enabled)
     model = build_model(cfg, ds)
-    load_checkpoint(args.ckpt, model)
+    restore_checkpoint(model, entries)
+    del entries  # the model holds the weights now
     probs, labels = evaluate(model, ds, cfg, modality)
     save_scores(args.scores, probs)
     print(f"top-1 accuracy {accuracy(probs, labels):.4f} on {len(ds)} samples; "

@@ -15,8 +15,8 @@ as a (forward, adjoint) pair of these maps: ``SPATIAL_SHIFT``, or
 Each unit owns its conv weight ``w`` [Cout, Cin] and no conv bias, which
 the batch-norm after it would cancel.  In eval mode the node folds
 batch-norm into the conv, one GEMM plus a per-channel shift [plus skip,
-ReLU and post_skip], and its backward recomputes x̂ only for the γ
-gradient.
+ReLU and post_skip].  In either mode the node keeps no normalised x̂: its
+backward re-runs the shift once and rebuilds x̂ from it, bit-identically.
 """
 
 from __future__ import annotations

@@ -529,14 +529,17 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
     ReLU, so a residual unit's ReLU(BN(conv(x)) + skip) and a decoder unit's
     ReLU(BN(conv(x))) + post_skip are one node each.
 
-    Train mode keeps x̂ (written over the conv output), the output and the
-    per-channel 1/sqrt(var + eps) for the backward.  Eval mode is an affine
-    map, so it folds batch-norm into the conv (Jacob et al. 2018, §3.2):
-    with scale = γ/sqrt(var + eps) it runs one GEMM with W·scale, then the
-    bias β - mean·scale, the skip and the ReLU in place; no x̂.
-    Its backward recomputes x̂ = (W·shift(x) - mean)/sqrt(var + eps)
-    only when γ needs a gradient, and never divides by γ.  Both modes re-run
-    the shift for the weight gradient instead of keeping the shifted input.
+    Train mode writes x̂ over the conv output and the output over x̂, so the
+    node keeps only the output and the per-channel mean and
+    1/sqrt(var + eps).  Eval mode is an affine map, so it folds batch-norm
+    into the conv (Jacob et al. 2018, §3.2): with scale = γ/sqrt(var + eps)
+    it runs one GEMM with W·scale, then the bias β - mean·scale, the skip
+    and the ReLU in place.  Neither mode keeps x̂ or the shifted input.  The
+    backward re-runs the shift once when W or γ needs a gradient (train mode
+    always needs x̂) and rebuilds x̂ = (W·shift(x) - mean)/sqrt(var + eps)
+    with the forward's own operations in its order, so it is bit-identical
+    and nothing divides by γ; the same shifted input serves the weight
+    gradient (Chen et al. 2016, arXiv:1604.06174, trade memory for one GEMM).
     The ReLU mask is read from the output, except when ``post_skip`` is
     added over it: then a recording node keeps the mask as a bool array.
     """
@@ -566,7 +569,8 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var * count / (count - 1)
         xhat *= inv[:, None]
-        out = xhat * gamma.data[:, None]
+        out = xhat  # the output is written over x̂: backward rebuilds x̂
+        out *= gamma.data[:, None]
         out += beta.data[:, None]
     else:
         mean = running_mean.astype(x.dtype, copy=False)
@@ -574,7 +578,6 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         scale = gamma.data * inv
         out = np.matmul(w.data * scale[:, None], conv_input())
         out += (beta.data - mean * scale)[:, None]
-        xhat = None
     if skip is not None:
         out += skip.data.reshape(n, co, t * v)
     if relu:
@@ -597,22 +600,26 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         sum_g = g.sum(axis=(0, 2))
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        if training:
+        xs = conv_input() if training or gamma.requires_grad or w.requires_grad else None
+        if training or gamma.requires_grad:  # x̂ by the forward's own operations, in its order
+            xhat = np.matmul(w.data, xs)
+            xhat -= mean[:, None]
+            xhat *= inv[:, None]
             sum_gx = np.einsum("nck,nck->c", g, xhat)
             if gamma.requires_grad:
                 gamma._accumulate(sum_gx)
-            gz = g - (sum_g / count)[:, None]
-            gz -= xhat * (sum_gx / count)[:, None]
+        # gz is laid out channel-major, so the weight gradient's tensordot reads
+        # it without a transposing copy; every value and GEMM result is unchanged
+        gz = np.empty((co, n, t * v), g.dtype).transpose(1, 0, 2)
+        if training:
+            np.subtract(g, (sum_g / count)[:, None], out=gz)
+            xhat *= (sum_gx / count)[:, None]
+            gz -= xhat
             gz *= (gamma.data * inv)[:, None]
         else:
-            if gamma.requires_grad:  # x̂ is recomputed, not kept
-                z = np.matmul(w.data, conv_input())
-                z -= mean[:, None]
-                z *= inv[:, None]
-                gamma._accumulate(np.einsum("nck,nck->c", g, z), owned=True)
-            gz = g * (gamma.data * inv)[:, None]
+            np.multiply(g, (gamma.data * inv)[:, None], out=gz)
         if w.requires_grad:
-            w._accumulate(_pointwise_weight_grad(gz, conv_input()), owned=True)
+            w._accumulate(_pointwise_weight_grad(gz, xs), owned=True)
         if x.requires_grad:
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
             x._accumulate(gx if shift is None else shift[1](gx), owned=True)

@@ -60,6 +60,22 @@ def test_eval_and_duplicate_fusion_match(tmp_path, toy_config, toy_data, capsys)
     assert fuse_acc == eval_acc
 
 
+def test_eval_reads_each_checkpoint_entry_once(tmp_path, toy_config, toy_data, monkeypatch):
+    # the meta check and the restore share one parse of the file
+    from simba import checkpoint
+    out = tmp_path / "run"
+    assert run("train", "--config", str(toy_config), "--data", str(toy_data),
+               "--out", str(out), "--quiet") == 0
+    ckpt = out / "checkpoint.bin"
+    count = len(read_checkpoint(ckpt)[1])
+    reads = []
+    read_entry = checkpoint._read_entry
+    monkeypatch.setattr(checkpoint, "_read_entry", lambda f, i: reads.append(i) or read_entry(f, i))
+    assert run("eval", "--ckpt", str(ckpt), "--data", str(toy_data),
+               "--scores", str(tmp_path / "s.json")) == 0
+    assert len(reads) == count > 0
+
+
 def test_eval_rejects_unknown_config_field(tmp_path, toy_config, toy_data, capsys):
     out = tmp_path / "run"
     assert run("train", "--config", str(toy_config), "--data", str(toy_data),

@@ -328,10 +328,11 @@ def test_shift_sgcn_node_keeps_no_shifted_input():
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_shift_sgcn_node_keeps_xhat_only_in_train_mode(training):
-    # eval mode folds batch-norm into the conv, so besides the output buffer
-    # itself (which the returned tensor owns) it holds nothing of the
-    # output's size; train mode keeps x̂, which shows the walk can see it
+def test_shift_unit_node_keeps_no_float_array_of_the_output_size(training):
+    # train mode writes the output over x̂ and its backward rebuilds x̂ from
+    # the re-run shift; eval mode folds batch-norm into the conv.  So besides
+    # the output buffer itself (which the returned tensor owns) neither mode
+    # holds anything of the output's size
     rng = np.random.default_rng(27)
     block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     block.running_mean[:] = rng.normal(size=6)
@@ -340,14 +341,16 @@ def test_shift_sgcn_node_keeps_xhat_only_in_train_mode(training):
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     out = block(x)
     assert _op_nodes(out) == 1
-    extra = [a for a in _held_arrays(out) if a.size == out.size and not np.shares_memory(a, out.data)]
-    assert len(extra) == (1 if training else 0), [a.shape for a in extra]
+    held = _held_arrays(out)
+    assert any(np.shares_memory(a, out.data) for a in held)  # the walk sees output-sized arrays
+    extra = [a for a in held if a.size == out.size and not np.shares_memory(a, out.data)]
+    assert not extra, [a.shape for a in extra]
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_decoder_unit_keeps_a_bool_relu_mask(training):
+def test_decoder_unit_keeps_only_a_bool_relu_mask(training):
     # the skip added after the ReLU hides the mask in the output, so the node
-    # keeps it as a bool array, besides x̂ in train mode, and no float copy
+    # keeps it as a bool array, and no float array of the output's size
     rng = np.random.default_rng(29)
     block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
     block.train(training)
@@ -356,7 +359,107 @@ def test_decoder_unit_keeps_a_bool_relu_mask(training):
     out = block(x, post_skip=skip)
     assert _op_nodes(out) == 1 and out._parents[-1] is skip
     extra = [a.dtype for a in _held_arrays(out) if a.size == out.size and not np.shares_memory(a, out.data)]
-    assert sorted(map(str, extra)) == (["bool", "float64"] if training else ["bool"]), extra
+    assert list(map(str, extra)) == ["bool"], extra
+
+
+def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu, skip, post_skip, g,
+                       eps=1e-5):
+    """A train-mode unit that keeps x̂ beside its output: (output, {name: gradient}).
+
+    The arithmetic of ``tensor.shift_conv_bn`` before its backward rebuilt
+    x̂, operation for operation, with the running arrays updated in place.
+    """
+    n, ci, t, v = x.shape
+    co, count = w.shape[0], n * t * v
+    xs = (x if shift is None else shift[0](x)).reshape(n, ci, t * v)
+    xhat = np.matmul(w, xs)
+    mean = xhat.mean(axis=(0, 2))
+    xhat -= mean[:, None]
+    var = (xhat * xhat).mean(axis=(0, 2))
+    inv = 1.0 / np.sqrt(var + eps)
+    running_mean *= 1.0 - T.BN_MOMENTUM
+    running_mean += T.BN_MOMENTUM * mean
+    running_var *= 1.0 - T.BN_MOMENTUM
+    running_var += T.BN_MOMENTUM * var * count / (count - 1)
+    xhat *= inv[:, None]
+    out = xhat * gamma[:, None]
+    out += beta[:, None]
+    if skip is not None:
+        out += skip.reshape(n, co, t * v)
+    if relu:
+        np.maximum(out, 0, out=out)
+    mask = out > 0
+    if post_skip is not None:
+        out += post_skip.reshape(n, co, t * v)
+    grads = {}
+    g = g.reshape(n, co, t * v)
+    if post_skip is not None:
+        grads["post_skip"] = g.reshape(post_skip.shape)
+    if relu:
+        g = g * mask
+    if skip is not None:
+        grads["skip"] = g.reshape(skip.shape)
+    sum_g = g.sum(axis=(0, 2))
+    sum_gx = np.einsum("nck,nck->c", g, xhat)
+    gz = g - (sum_g / count)[:, None]
+    gz -= xhat * (sum_gx / count)[:, None]
+    gz *= (gamma * inv)[:, None]
+    gx = np.matmul(w.T, gz).reshape(x.shape)
+    grads.update(x=gx if shift is None else shift[1](gx), w=T._pointwise_weight_grad(gz, xs),
+                 gamma=sum_gx, beta=sum_g)
+    return out.reshape(n, co, t, v), grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,shift,relu,skip,post_skip", [
+    (5, 7, SPATIAL_SHIFT, True, False, False),   # encoder unit
+    (7, 5, SPATIAL_SHIFT, True, False, True),    # decoder unit
+    (3, 3, FRAME_SHIFT, False, False, False),    # T-GCN
+    (5, 5, None, True, True, False),             # module exit
+    (3, 5, FRAME_SHIFT, False, True, True),      # both skips, no ReLU
+    (7, 3, None, True, True, True),
+], ids=["encoder", "decoder", "tcn", "exit", "skips", "skips_relu"])
+def test_train_unit_equals_a_unit_keeping_xhat(ci, co, shift, relu, skip, post_skip, dtype):
+    # the backward rebuilds x̂ with the forward's own operations in its order,
+    # so every output, running statistic and gradient is bit-identical
+    rng = np.random.default_rng(30)
+    shape = (3, ci, 5, 7)
+    x = rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(co, ci)).astype(dtype)
+    gamma, beta = (1.0 + rng.normal(size=co)).astype(dtype), rng.normal(size=co).astype(dtype)
+    skips = {name: rng.normal(size=(3, co, 5, 7)).astype(dtype) if use else None
+             for name, use in (("skip", skip), ("post_skip", post_skip))}
+    g = rng.normal(size=(3, co, 5, 7)).astype(dtype)
+    stats = [rng.normal(size=co).astype(dtype), (0.5 + rng.random(co)).astype(dtype)]
+    ref_stats = [a.copy() for a in stats]
+    ref_out, ref_grads = _unit_keeping_xhat(x, w, gamma, beta, *ref_stats, shift, relu,
+                                            skips["skip"], skips["post_skip"], g)
+    leaves = {name: Tensor(a, requires_grad=True) for name, a in
+              (("x", x), ("w", w), ("gamma", gamma), ("beta", beta), *skips.items()) if a is not None}
+    out = T.shift_conv_bn(leaves["x"], leaves["w"], leaves["gamma"], leaves["beta"], *stats, True,
+                          shift, relu, leaves.get("skip"), leaves.get("post_skip"))
+    (out * Tensor(g)).sum().backward()  # hands the node g itself: 1·g is exact
+    assert out.data.dtype == dtype and np.array_equal(out.data, ref_out)
+    assert all(np.array_equal(a, b) for a, b in zip(stats, ref_stats))
+    assert sorted(leaves) == sorted(ref_grads)
+    for name, leaf in leaves.items():
+        assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, ref_grads[name]), name
+
+
+def test_eval_backward_reruns_the_shift_only_for_a_parameter_gradient():
+    # x's gradient needs only Wᵀ·gz; the shift is re-run for dW or dγ alone
+    rng = np.random.default_rng(31)
+    calls = []
+    shift = (lambda a: calls.append(1) or SPATIAL_SHIFT[0](a), SPATIAL_SHIFT[1])
+    block = ShiftUnit(4, 6, rng, shift, relu=True)
+    block.eval()
+    for frozen, reruns in (((), 1), (("w",), 1), (("gamma",), 1), (("w", "gamma"), 0)):
+        for name in ("w", "gamma"):
+            getattr(block, name).requires_grad = name not in frozen
+        calls.clear()
+        x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
+        block(x).sum().backward()
+        assert len(calls) == 1 + reruns and x.grad is not None, frozen
 
 
 def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():

@@ -365,6 +365,38 @@ def test_train_step_records_fused_glue(preset, depth, nodes):
     assert sum(node._backward is not None for node in T._toposort(loss)) == nodes
 
 
+def test_ntu60_train_graph_holds_at_most_52_mib():
+    # the arrays a recorded ntu60 depth-2, batch-2 float32 train step keeps
+    # for its backward: node outputs and closure arrays, once per buffer,
+    # parameters excluded (perfbench's tensor.recorded_mib counts the same).
+    # Shift units that kept x̂ beside their output held 79.2 MiB; writing the
+    # output over x̂ and rebuilding it in backward holds 49.7 MiB
+    from simba.data import assemble_batch
+    cfg = PRESETS["ntu60"]()
+    cfg.depth_l = 2
+    ds = synth_generate(3, 1, v=25, t_raw=80, seed=0, partitions=5)
+    model = build_model(cfg, ds)
+    x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
+                          dtype=np.float32)
+    loss = cross_entropy_logits(model(Tensor(x)), y)
+
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    params = {id(base(p.data)) for p in model.parameters()}
+    held = {}
+    for node in T._toposort(loss):
+        if node._backward is None:
+            continue
+        cells = [cell.cell_contents for cell in node._backward.__closure__ or ()]
+        for a in [node.data, *(c for c in cells if isinstance(c, np.ndarray))]:
+            if id(base(a)) not in params:
+                held[id(base(a))] = base(a).nbytes
+    assert sum(held.values()) <= 52 * 2**20, sum(held.values()) / 2**20
+
+
 @pytest.mark.parametrize("preset, with_imamba", [("toy", True), ("toy", False), ("ntu60", True)],
                          ids=["toy", "toy_ablation", "ntu60_partitions"])
 def test_every_parameter_array_gets_a_gradient_float64(preset, with_imamba):
