@@ -9,7 +9,8 @@ One module runs, per Algorithm-style composition:
     gated selective-scan block over time (identity when ablated)
     unflatten back to [N, D, T, V]
     decoder: three shift-GCNs D -> C/4 -> C/2 -> C, each adding the encoder
-    skip of the matching depth after its ReLU
+    skip of the matching depth after its ReLU; with no graph recorded, no
+    skip outlives its unit
     exit: ReLU(unit-TCN residual of the module input + temporal shift block)
 
 Modules are stacked; a global average pool over (T, V) and a linear head
@@ -104,30 +105,35 @@ class SimbaModule(Module):
         self.tcn = ShiftUnit(c, c, rng, FRAME_SHIFT, relu=False)
         self.residual = ShiftUnit(c_in, c, rng, None, relu=True)
 
-    def encode(self, x_l: Tensor):
-        """Run the down ladder; returns the bottleneck and the skip stack."""
-        x2 = self.enc[0](x_l)
-        x3 = self.enc[1](x2)
-        x4 = self.enc[2](x3)
-        return x4, (x_l, x2, x3)
+    def encode(self, x: Tensor):
+        """Run the down ladder; returns the bottleneck and the list of skips, shallowest first."""
+        skips = []
+        for unit in self.enc:
+            skips.append(x)
+            x = unit(x)
+        return x, skips
 
-    def decode(self, xn: Tensor, skips) -> Tensor:
-        """Run the up ladder; each unit adds its skip after its ReLU, in its own node."""
-        x_l, x2, x3 = skips
-        x5 = self.dec[0](xn, post_skip=x3)
-        x6 = self.dec[1](x5, post_skip=x2)
-        return self.dec[2](x6, post_skip=x_l)
+    def decode(self, x: Tensor, skips) -> Tensor:
+        """Run the up ladder; each unit adds the deepest skip left after its ReLU, in its own node.
+
+        The list that ``encode`` returns is emptied on the way up, so each
+        skip dies once its unit has added it; a tuple is read, not changed.
+        """
+        stack = skips if isinstance(skips, list) else list(skips)
+        for unit in self.dec:
+            x = unit(x, post_skip=stack.pop())
+        return x
 
     def forward(self, x_in: Tensor) -> Tensor:
-        x_l = self.entry(x_in)
+        x = self.entry(x_in)
         if self.gate is not None:
-            x_l = self.gate(x_l)
-        x4, skips = self.encode(x_l)
+            x = self.gate(x)
+        x, skips = self.encode(x)
         if self.imamba is not None:
-            flat = flatten_vertices(x4)
-            x4 = unflatten_vertices(self.imamba(flat), self.v)
-        x7 = self.decode(x4, skips)
-        return self.residual(x_in, skip=self.tcn(x7))
+            x = unflatten_vertices(self.imamba(flatten_vertices(x)), self.v)
+        # the decoder output is only the temporal unit's argument, so it dies
+        # with that unit
+        return self.residual(x_in, skip=self.tcn(self.decode(x, skips)))
 
 
 class SimbaModel(Module):

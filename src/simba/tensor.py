@@ -92,8 +92,10 @@ class Tensor:
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         # the first contribution is copied, never aliased: ops hand the same
         # g to several parents, and reshape hands down a view of its own grad.
-        # ``owned`` says g is a fresh array the op hands to this parent only,
-        # so one of the parent's shape and dtype is kept without the copy.
+        # ``owned`` says the op hands g to this parent only and writes it no
+        # more: a fresh array, or the op's own incoming gradient, which its
+        # node drops once the closure has run.  One of the parent's shape and
+        # dtype is then kept without the copy.
         if self.grad is None:
             if owned and type(g) is np.ndarray and g.shape == self.data.shape and g.dtype == self.data.dtype:
                 self.grad = g
@@ -404,8 +406,8 @@ def permute(a, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.transpose(g, inverse))
+        if a.requires_grad:  # C-ordered: a strided grad changes the order the parent's sums run in
+            a._accumulate(np.ascontiguousarray(np.transpose(g, inverse)), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -542,6 +544,9 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
     gradient (Chen et al. 2016, arXiv:1604.06174, trade memory for one GEMM).
     The ReLU mask is read from the output, except when ``post_skip`` is
     added over it: then a recording node keeps the mask as a bool array.
+    The backward copies no gradient: ``post_skip`` takes the incoming one,
+    ``skip`` the masked one, and x̂ and the shifted input are released as
+    soon as their last reader has run (Chen et al. 2016, §3, memory sharing).
     """
     x, w, gamma, beta = (_as_tensor(a) for a in (x, w, gamma, beta))
     _check_pointwise(x, w)
@@ -590,13 +595,21 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         out += post_skip.data.reshape(n, co, t * v)
 
     def backward(g):
+        # g is this node's own gradient: it is handed on to a skip or masked
+        # in place instead of copied.  When a skip is also x or the other
+        # skip, its later contributions are added into g, but only after
+        # g's last read here
         g = g.reshape(n, co, t * v)
         if post_skip is not None and post_skip.requires_grad:
-            post_skip._accumulate(g.reshape(post_skip.shape))  # copied: g is read again below
-        if relu:
-            g = g * (out > 0 if mask is None else mask)
+            # with a ReLU the node goes on with a masked copy, so post_skip
+            # owns g; without one g is read below and may go to skip as well
+            post_skip._accumulate(g.reshape(post_skip.shape), owned=relu)
+            if relu:
+                g = g * (out > 0 if mask is None else mask)
+        elif relu:
+            g *= out > 0 if mask is None else mask
         if skip is not None and skip.requires_grad:
-            skip._accumulate(g.reshape(skip.shape))  # copied: g is read again below
+            skip._accumulate(g.reshape(skip.shape), owned=True)
         sum_g = g.sum(axis=(0, 2))
         if beta.requires_grad:
             beta._accumulate(sum_g)
@@ -618,8 +631,10 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
             gz *= (gamma.data * inv)[:, None]
         else:
             np.multiply(g, (gamma.data * inv)[:, None], out=gz)
+        xhat = None  # dead: the GEMMs below read only gz and the shifted input
         if w.requires_grad:
             w._accumulate(_pointwise_weight_grad(gz, xs), owned=True)
+        xs = None  # dead: gx = Wᵀ·gz reads only gz
         if x.requires_grad:
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
             x._accumulate(gx if shift is None else shift[1](gx), owned=True)

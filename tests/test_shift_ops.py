@@ -446,6 +446,38 @@ def test_train_unit_equals_a_unit_keeping_xhat(ci, co, shift, relu, skip, post_s
         assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, ref_grads[name]), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no_relu"])
+@pytest.mark.parametrize("shared", ["skip_is_x", "post_skip_is_x", "skip_is_post_skip"])
+def test_gradients_handed_on_equal_a_copying_reference(shared, relu, dtype):
+    # the backward hands its own gradient to post_skip and the masked one to
+    # skip instead of copying them, and masks in place when it may; a tensor
+    # in two roles still gets the sum of both, bit for bit
+    rng = np.random.default_rng(33)
+    shape = (3, 5, 4, 7)
+    x, s, g = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+    w = rng.normal(size=(5, 5)).astype(dtype)
+    gamma, beta = (1.0 + rng.normal(size=5)).astype(dtype), rng.normal(size=5).astype(dtype)
+    roles = {"skip_is_x": (x, None), "post_skip_is_x": (None, x), "skip_is_post_skip": (s, s)}[shared]
+    _, ref = _unit_keeping_xhat(x, w, gamma, beta, np.zeros(5, dtype), np.ones(5, dtype),
+                                SPATIAL_SHIFT, relu, *roles, g)
+    leaves = {"x": Tensor(x, requires_grad=True), "s": Tensor(s, requires_grad=True)}
+    skip, post_skip = (None if a is None else leaves["x" if a is x else "s"] for a in roles)
+    out = T.shift_conv_bn(leaves["x"], Tensor(w), Tensor(gamma), Tensor(beta), np.zeros(5, dtype),
+                          np.ones(5, dtype), True, SPATIAL_SHIFT, relu, skip, post_skip)
+    (out * Tensor(g)).sum().backward()
+    want = {"x": ref["x"], "s": None}
+    if shared == "skip_is_post_skip":
+        want["s"] = ref["skip"] + ref["post_skip"]
+    else:
+        want["x"] = ref["x"] + ref[shared[:-len("_is_x")]]
+    for name, leaf in leaves.items():
+        if want[name] is None:
+            assert leaf.grad is None, name
+        else:
+            assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, want[name]), name
+
+
 def test_eval_backward_reruns_the_shift_only_for_a_parameter_gradient():
     # x's gradient needs only Wᵀ·gz; the shift is re-run for dW or dγ alone
     rng = np.random.default_rng(31)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -16,6 +14,7 @@ from simba.ssm import (
     zoh_discretize,
 )
 from simba.tensor import Tensor
+from tracemem import traced_memory
 
 
 def _random_scan_inputs(rng, n, t, dp, w):
@@ -307,12 +306,9 @@ def test_streamed_scan_bit_identical_to_materialized(dtype, shape, trained):
 
 
 def _scan_peak_bytes(run) -> int:
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return mem.peak
 
 
 def _ntu60_scan_leaves():

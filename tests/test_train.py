@@ -5,7 +5,6 @@ import platform
 import subprocess
 import sys
 import threading
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from simba.shift_gcn import FRAME_SHIFT, temporal_shift
 from simba.tensor import BN_MOMENTUM, Tensor, cross_entropy_logits
 from simba.train import (LR_DECAY_RATE, MOMENTUM, SGD, WARMUP_EPOCHS, accuracy, build_model,
                          evaluate, fuse_scores, load_scores, lr_at, save_scores, train)
+from tracemem import traced_memory
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +336,11 @@ def test_backward_peak_stays_near_the_forward_graph():
     forward, step = _small_float32_step()
     for i in range(3):
         step(i)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         loss = forward(3)
-        live = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        mem.mark()
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * live, (live, peak)
+    assert mem.live + mem.peak <= 1.5 * mem.live, (mem.live, mem.peak)
 
 
 @pytest.mark.parametrize("preset, depth, nodes", [("toy", 2, 84), ("ntu60", 1, 45)])
@@ -365,12 +360,8 @@ def test_train_step_records_fused_glue(preset, depth, nodes):
     assert sum(node._backward is not None for node in T._toposort(loss)) == nodes
 
 
-def test_ntu60_train_graph_holds_at_most_52_mib():
-    # the arrays a recorded ntu60 depth-2, batch-2 float32 train step keeps
-    # for its backward: node outputs and closure arrays, once per buffer,
-    # parameters excluded (perfbench's tensor.recorded_mib counts the same).
-    # Shift units that kept x̂ beside their output held 79.2 MiB; writing the
-    # output over x̂ and rebuilding it in backward holds 49.7 MiB
+def _ntu60_depth2_batch2():
+    """A float32 ntu60-preset model at depth 2, and one train batch of 2 samples."""
     from simba.data import assemble_batch
     cfg = PRESETS["ntu60"]()
     cfg.depth_l = 2
@@ -378,6 +369,20 @@ def test_ntu60_train_graph_holds_at_most_52_mib():
     model = build_model(cfg, ds)
     x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
                           dtype=np.float32)
+    return model, x, y
+
+
+# one float32 [N, C, T, V] activation of that batch: 2 samples, C=216, T=64, V=25
+ACTIVATION_BYTES = 2 * 216 * 64 * 25 * 4
+
+
+def test_ntu60_train_graph_holds_at_most_52_mib():
+    # the arrays a recorded ntu60 depth-2, batch-2 float32 train step keeps
+    # for its backward: node outputs and closure arrays, once per buffer,
+    # parameters excluded (perfbench's tensor.recorded_mib counts the same).
+    # Shift units that kept x̂ beside their output held 79.2 MiB; writing the
+    # output over x̂ and rebuilding it in backward holds 49.7 MiB
+    model, x, y = _ntu60_depth2_batch2()
     loss = cross_entropy_logits(model(Tensor(x)), y)
 
     def base(a):
@@ -395,6 +400,66 @@ def test_ntu60_train_graph_holds_at_most_52_mib():
             if id(base(a)) not in params:
                 held[id(base(a))] = base(a).nbytes
     assert sum(held.values()) <= 52 * 2**20, sum(held.values()) / 2**20
+
+
+def test_ntu60_eval_forward_peaks_at_most_4_5_activations():
+    # each U-Net skip dies once its decoder unit has added it, and the
+    # decoder output once the temporal unit has read it; a module that held
+    # them all to its return peaked at 6.0 activations
+    model, x, _ = _ntu60_depth2_batch2()
+    model.eval()
+    x = Tensor(x)
+    with T.no_grad(), traced_memory() as mem:
+        model(x)
+    assert mem.peak <= 4.5 * ACTIVATION_BYTES, mem.peak / ACTIVATION_BYTES
+
+
+def test_ntu60_backward_peaks_at_most_4_5_activations_above_its_graph():
+    # the shift units hand their gradient on instead of copying it, mask it
+    # in place, and drop x̂ and the shifted input before the GEMMs that no
+    # longer read them; copying peaked at 6.1 activations above the graph
+    model, x, y = _ntu60_depth2_batch2()
+    with traced_memory() as mem:
+        loss = cross_entropy_logits(model(Tensor(x)), y)
+        mem.mark()
+        loss.backward()
+    assert mem.peak <= 4.5 * ACTIVATION_BYTES, mem.peak / ACTIVATION_BYTES
+
+
+def test_no_two_live_gradients_share_memory():
+    # a node may hand its own gradient on to one parent and mask it in place,
+    # so no two tensors' grads may share memory while both are live: checked
+    # when each closure starts and, for the grads it wrote, when it returns
+    from simba.data import assemble_batch
+    cfg = PRESETS["ntu60"]()
+    cfg.depth_l, cfg.channels_C, cfg.mamba_D = 1, 16, 2
+    ds = synth_generate(3, 1, v=25, t_raw=80, seed=0, partitions=5)
+    model = build_model(cfg, ds)
+    x, y = assemble_batch(ds, [0, 1], cfg.window_T, "train", "joint", seed_parts=(cfg.seed, 0),
+                          dtype=np.float32)
+    x = Tensor(x, requires_grad=True)
+    loss = cross_entropy_logits(model(x), y)
+    tensors = T._toposort(loss)
+    shared = []
+
+    def overlaps(a, skip):
+        return [t for t in tensors if t not in skip and t.grad is not None and np.shares_memory(a.grad, t.grad)]
+
+    def checked(node, closure):
+        def run(g):
+            shared.extend((node, t) for t in overlaps(node, (node,)))
+            closure(g)
+            shared.extend((p, t) for p in node._parents if p.grad is not None
+                          for t in overlaps(p, (node, p)))
+        return run
+
+    for node in tensors:
+        if node._backward is not None:
+            node._backward = checked(node, node._backward)
+    loss.backward()
+    leaves = [*model.parameters(), x]
+    shared.extend((a, b) for i, a in enumerate(leaves) for b in leaves[:i] if np.shares_memory(a.grad, b.grad))
+    assert not shared, [(a.shape, b.shape) for a, b in shared]
 
 
 @pytest.mark.parametrize("preset, with_imamba", [("toy", True), ("toy", False), ("ntu60", True)],
