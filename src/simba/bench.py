@@ -9,8 +9,7 @@ import numpy as np
 from .ssm import _scan_states_chunked, _scan_states_sequential
 
 
-def bench_scan(t: int, dp: int, w: int, chunks, n: int = 1, seed: int = 0,
-               repeats: int = 3):
+def bench_scan(t: int, dp: int, w: int, chunks, seed: int = 0, repeats: int = 3):
     """Time both strategies on one seeded problem; returns CSV-ready rows.
 
     Each row is (strategy, T, Dp, W, chunk, wall_ms); sequential rows use
@@ -18,8 +17,8 @@ def bench_scan(t: int, dp: int, w: int, chunks, n: int = 1, seed: int = 0,
     warmup.
     """
     rng = np.random.default_rng(seed)
-    a = 0.1 + 0.85 * rng.random((n, t, dp, w))
-    inj = rng.normal(size=(n, t, dp, w))
+    a = 0.1 + 0.85 * rng.random((1, t, dp, w))
+    inj = rng.normal(size=(1, t, dp, w))
 
     def clock(fn):
         fn()  # warmup

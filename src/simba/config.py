@@ -90,8 +90,8 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":

@@ -278,12 +278,12 @@ def suite_simba_module():
     checks = [("simba_module", check_module(module, x, rng), BLOCK_TOL)]
 
     xe = Tensor(_away_from_zero(rng, (1, 8, 3, 4), 0.15), requires_grad=True)
-    checks.append(("encoder", check_module(module, xe, rng, lambda inp: module.encode(inp)[0],
+    checks.append(("encoder", check_module(module, xe, rng, lambda inp: module.encode(inp)[-1],
                                            prefix="enc."), BLOCK_TOL))
 
     skips = tuple(Tensor(rng.normal(size=s)) for s in [(1, 8, 3, 4), (1, 4, 3, 4), (1, 2, 3, 4)])
     xd = _leaf(rng, (1, 2, 3, 4))
-    checks.append(("decoder", check_module(module, xd, rng, lambda inp: module.decode(inp, skips),
+    checks.append(("decoder", check_module(module, xd, rng, lambda inp: module.decode([*skips, inp]),
                                            prefix="dec."), BLOCK_TOL))
     return checks
 

@@ -9,9 +9,13 @@ One module runs, per Algorithm-style composition:
     gated selective-scan block over time (identity when ablated)
     unflatten back to [N, D, T, V]
     decoder: three shift-GCNs D -> C/4 -> C/2 -> C, each adding the encoder
-    skip of the matching depth after its ReLU; with no graph recorded, no
-    skip outlives its unit
+    skip of the matching depth after its ReLU
     exit: ReLU(unit-TCN residual of the module input + temporal shift block)
+
+The U-Net is one list of activations, shallowest first: ``encode`` pushes the
+entry output and each encoder output, the scan block swaps the bottleneck for
+its own output, and each decoder unit pops the top and the skip under it and
+pushes its output.  Under ``no_grad`` each dies after its last reader.
 
 Modules are stacked; a global average pool over (T, V) and a linear head
 produce the class logits.
@@ -105,35 +109,26 @@ class SimbaModule(Module):
         self.tcn = ShiftUnit(c, c, rng, FRAME_SHIFT, relu=False)
         self.residual = ShiftUnit(c_in, c, rng, None, relu=True)
 
-    def encode(self, x: Tensor):
-        """Run the down ladder; returns the bottleneck and the list of skips, shallowest first."""
-        skips = []
+    def encode(self, x: Tensor) -> list:
+        """Run the down ladder; returns [x, each unit's output], the bottleneck last."""
+        stack = [x]
         for unit in self.enc:
-            skips.append(x)
-            x = unit(x)
-        return x, skips
+            stack.append(unit(stack[-1]))
+        return stack
 
-    def decode(self, x: Tensor, skips) -> Tensor:
-        """Run the up ladder; each unit adds the deepest skip left after its ReLU, in its own node.
-
-        The list that ``encode`` returns is emptied on the way up, so each
-        skip dies once its unit has added it; a tuple is read, not changed.
-        """
-        stack = skips if isinstance(skips, list) else list(skips)
+    def decode(self, stack: list) -> Tensor:
+        """Run the up ladder over ``encode``'s list and empty it: each unit pops the top,
+        adds the skip under it after its ReLU in its own node, and pushes its output."""
         for unit in self.dec:
-            x = unit(x, post_skip=stack.pop())
-        return x
+            stack.append(unit(stack.pop(), post_skip=stack.pop()))
+        return stack.pop()
 
     def forward(self, x_in: Tensor) -> Tensor:
-        x = self.entry(x_in)
-        if self.gate is not None:
-            x = self.gate(x)
-        x, skips = self.encode(x)
+        # no activation is bound to a local, so each dies after its last reader
+        stack = self.encode(self.entry(x_in) if self.gate is None else self.gate(self.entry(x_in)))
         if self.imamba is not None:
-            x = unflatten_vertices(self.imamba(flatten_vertices(x)), self.v)
-        # the decoder output is only the temporal unit's argument, so it dies
-        # with that unit
-        return self.residual(x_in, skip=self.tcn(self.decode(x, skips)))
+            stack.append(unflatten_vertices(self.imamba(flatten_vertices(stack.pop())), self.v))
+        return self.residual(x_in, skip=self.tcn(self.decode(stack)))
 
 
 class SimbaModel(Module):

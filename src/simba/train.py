@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import dataclasses
 import functools
 import json
 import os
@@ -46,7 +47,8 @@ class SGD:
     """SGD with Nesterov momentum: v = m·v + g, then p -= lr·(g + m·v), m = ``MOMENTUM``.
 
     Weight decay touches only parameters flagged ``decay`` (conv/linear
-    weights); a non-finite gradient aborts the step naming the parameter.
+    weights).  A non-finite gradient aborts the step, naming the first such
+    parameter, before any parameter or velocity changes.
     """
 
     def __init__(self, named_params, weight_decay: float = 0.0):
@@ -59,12 +61,11 @@ class SGD:
             p.zero_grad()
 
     def step(self, lr: float):
-        for name, p in self._params:
-            if p.grad is None:
-                continue
-            g = p.grad
+        grads = [(name, p, p.grad) for name, p in self._params if p.grad is not None]
+        for name, _, g in grads:
             if not np.all(np.isfinite(g)):
                 raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
+        for name, p, g in grads:
             if self.weight_decay and getattr(p, "decay", False):
                 g = g + self.weight_decay * p.data
             v = self._velocity[name]
@@ -289,7 +290,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
             if ckpt_path is not None:
                 save_checkpoint(ckpt_path, model, meta={
                     "epoch": epoch, "eval_acc": eval_acc,
-                    "config": json.loads(cfg.to_json()), "modality": modality,
+                    "config": dataclasses.asdict(cfg), "modality": modality,
                     **train_ds.layout(),
                 })
         if verbose:

@@ -58,9 +58,36 @@ def test_flatten_preset_shapes():
 def test_encoder_ladder_toy():
     rng = np.random.default_rng(1)
     module = SimbaModule(3, 8, 2, 4, 2, rng)
-    x4, skips = module.encode(Tensor(rng.normal(size=(2, 8, 3, 4))))
-    assert x4.shape == (2, 2, 3, 4)
-    assert tuple(s.shape[1] for s in skips) == (8, 4, 2)
+    stack = module.encode(Tensor(rng.normal(size=(2, 8, 3, 4))))
+    assert stack[-1].shape == (2, 2, 3, 4)
+    assert tuple(s.shape[1] for s in stack[:-1]) == (8, 4, 2)
+
+
+def test_encode_stack_is_emptied_by_decode():
+    # the stack holds (C, C/2, C/4, D) channels, shallowest first, and the
+    # decoder pops every entry, so no skip outlives the module in the list
+    rng = np.random.default_rng(4)
+    module = SimbaModule(3, 16, 3, 4, 2, rng)
+    stack = module.encode(Tensor(rng.normal(size=(2, 16, 3, 4))))
+    assert [s.shape[1] for s in stack] == [16, 8, 4, 3]
+    out = module.decode(stack)
+    assert out.shape == (2, 16, 3, 4)
+    assert stack == []
+
+
+def test_gradcheck_encoder_check_reads_the_bottleneck(monkeypatch):
+    # encode's list starts with its own input, so a check of entry [0]
+    # would differentiate no encoder unit and pass trivially
+    from simba import gradcheck
+    shapes = {}
+
+    def probe(module, x, rng, forward=None, prefix=""):
+        shapes[prefix] = (forward or module)(x).shape
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "check_module", probe)
+    gradcheck.suite_simba_module()
+    assert shapes == {"": (1, 8, 3, 4), "enc.": (1, 2, 3, 4), "dec.": (1, 8, 3, 4)}
 
 
 def test_encoder_rejects_unaligned_channels():
@@ -78,7 +105,7 @@ def test_decoder_zeroed_convs_leave_only_skips():
     skips = (Tensor(rng.normal(size=(1, 8, 3, 4))),
              Tensor(rng.normal(size=(1, 4, 3, 4))),
              Tensor(rng.normal(size=(1, 2, 3, 4))))
-    out = module.decode(xn, skips)
+    out = module.decode([*skips, xn])
     np.testing.assert_array_equal(out.data, skips[0].data)
 
 
@@ -90,7 +117,7 @@ def test_decoder_skip_shape_mismatch():
            Tensor(np.zeros((1, 5, 3, 4))),  # wrong channel count
            Tensor(np.zeros((1, 2, 3, 4))))
     with pytest.raises((ShapeError, ValueError)):
-        module.decode(xn, bad)
+        module.decode([*bad, xn])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Names that the program or its benchmark harness refer to by string must resolve.
 
 A rename in ``simba`` would otherwise zero a per-layer metric in silence
-(an unmatched span name) or break the benchmark run (a missing patch
-target), instead of failing here.  Likewise every config field must be
-read somewhere, so that a field whose code path is deleted goes with it,
-and every field must be set differently by some preset or have a reason to
-exist that no preset shows.  Every ``Module`` subclass must be a layer with
-a ``forward``, not a container of parameters for another layer to unpack.
+(an unmatched span name), break the benchmark run (a missing patch
+target or module attribute) or reshape it (a config field it sets that no
+longer exists), instead of failing here.  Likewise every config field must
+be read somewhere, so that a field whose code path is deleted goes with
+it, and every field must be set differently by some preset or have a
+reason to exist that no preset shows.  Every ``Module`` subclass must be
+a layer with a ``forward``, not a container of parameters for another
+layer to unpack.
 """
 
 import ast
@@ -43,6 +45,42 @@ DELETED_NAMES = {
 }
 
 
+def _mod_name(node):
+    """'data' for the expression ``mod("data")``, else None."""
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "mod"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Constant)):
+        return node.args[0].value
+    return None
+
+
+def _workload_reads():
+    """What ``perfbench/workloads.py`` reads of the program: every dotted
+    attribute chain through ``mod("<module>")`` or a name bound to it, and
+    every ``cfg.<name>``."""
+    attrs, cfg_fields = set(), set()
+    for fn in ast.parse((PERFBENCH / "workloads.py").read_text()).body:
+        bound = {}  # name -> module, per top-level function and the functions nested in it
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    bound.update((t.id, _mod_name(v)) for t, v in pairs
+                                 if isinstance(t, ast.Name) and _mod_name(v))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute):
+                chain, root = [node.attr], node.value
+                while isinstance(root, ast.Attribute):
+                    chain, root = [root.attr, *chain], root.value
+                module = bound.get(root.id) if isinstance(root, ast.Name) else _mod_name(root)
+                if module:
+                    attrs.add(".".join([module, *chain]))
+                if getattr(node.value, "id", None) == "cfg":
+                    cfg_fields.add(node.attr)
+    return attrs, cfg_fields
+
+
 def test_perfbench_span_and_patch_names_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
@@ -50,9 +88,15 @@ def test_perfbench_span_and_patch_names_resolve(monkeypatch):
     names = set(spans.LAYER_OF)
     names.update(name for parts in spans.PHASES.values() for name in parts)
     names.update(re.findall(r'durations\("([\w.]+)"\)', (PERFBENCH / "run.py").read_text()))
-    # attributes of simba.train that the workloads read or replace
-    workloads = (PERFBENCH / "workloads.py").read_text()
-    names.update(f"train.{attr}" for attr in re.findall(r"\btrain\.(\w+(?:\.\w+)?)", workloads))
+    # what the workloads read, call or replace of the program, and the config
+    # fields they read or set: a rename would crash or silently reshape a run
+    reads, cfg_fields = _workload_reads()
+    assert {"checkpoint.read_checkpoint", "config.preset_ntu60", "data.synth_generate",
+            "train.SGD.step", "train.evaluate"} <= reads, sorted(reads)
+    names.update(reads)
+    assert {"epochs", "seed", "scan_chunk"} <= cfg_fields, sorted(cfg_fields)
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert cfg_fields <= fields, f"cfg reads that are no TrainConfig field: {sorted(cfg_fields - fields)}"
     assert len(names) > 20
     missing = []
     for name in sorted(names):

@@ -174,6 +174,27 @@ def test_sgd_aborts_on_nan_grad_naming_parameter():
         opt.step(lr=0.1)
 
 
+def test_sgd_abort_changes_no_parameter_or_velocity():
+    # every gradient is checked before any update, so a NaN in the last
+    # parameter leaves the ones before it where they were
+    rng = np.random.default_rng(5)
+    params = [(f"p{i}", Parameter(rng.normal(size=(2, 3)), decay=True)) for i in range(3)]
+    opt = SGD(params, weight_decay=1e-4)
+    for _, p in params:
+        p.grad = rng.normal(size=(2, 3))
+    opt.step(lr=0.1)  # nonzero velocities
+    for _, p in params:
+        p.grad = rng.normal(size=(2, 3))
+    params[-1][1].grad[1, 2] = np.nan
+    before = [p.data.copy() for _, p in params]
+    velocity = [opt._velocity[name].copy() for name, _ in params]
+    with pytest.raises(TrainingAbort, match="'p2'"):
+        opt.step(lr=0.1)
+    for (name, p), data, v in zip(params, before, velocity):
+        np.testing.assert_array_equal(p.data, data, err_msg=name)
+        np.testing.assert_array_equal(opt._velocity[name], v, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
@@ -402,16 +423,17 @@ def test_ntu60_train_graph_holds_at_most_52_mib():
     assert sum(held.values()) <= 52 * 2**20, sum(held.values()) / 2**20
 
 
-def test_ntu60_eval_forward_peaks_at_most_4_5_activations():
-    # each U-Net skip dies once its decoder unit has added it, and the
-    # decoder output once the temporal unit has read it; a module that held
-    # them all to its return peaked at 6.0 activations
+def test_ntu60_eval_forward_peaks_at_most_4_1_activations():
+    # each U-Net activation lives only on the module's stack, so each skip
+    # dies once its decoder unit has added it, the bottleneck after the first
+    # decoder unit and the decoder output after the temporal unit; holding
+    # the bottleneck in a local to the module's return peaked at 4.165
     model, x, _ = _ntu60_depth2_batch2()
     model.eval()
     x = Tensor(x)
     with T.no_grad(), traced_memory() as mem:
         model(x)
-    assert mem.peak <= 4.5 * ACTIVATION_BYTES, mem.peak / ACTIVATION_BYTES
+    assert mem.peak <= 4.1 * ACTIVATION_BYTES, mem.peak / ACTIVATION_BYTES
 
 
 def test_ntu60_backward_peaks_at_most_4_5_activations_above_its_graph():
