@@ -7,7 +7,7 @@ import numpy as np
 
 from simba import ShiftUnit, Tensor, spatial_shift, temporal_shift
 from simba import tensor as T
-from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, temporal_offsets
+from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT
 
 print("=== spatial shift: channel c rotates the joint axis by c ===")
 # one frame, 4 channels, 5 joints; values encode the joint index
@@ -25,15 +25,15 @@ print("inverse shift restores the input exactly:", np.array_equal(restored, x))
 print("\n=== temporal shift: channels slide along the frame axis ===")
 x = np.zeros((1, 3, 4, 1))
 x[0, :, :, 0] = np.arange(1.0, 5.0)[None, :]
-print("offsets for 3 channels at radius 1:", temporal_offsets(3, 1))
-shifted = temporal_shift(x, 1)
+print("fixed offsets u(c) = (c mod 3) - 1 (radius 1, the recipe's):", np.arange(3) % 3 - 1)
+shifted = temporal_shift(x)
 for c in range(3):
     print(f"channel {c}: {x[0, c, :, 0]} -> {shifted[0, c, :, 0]}  (zeros enter at the edge)")
 
 print("\n=== one unit class, two shifts ===")
 rng = np.random.default_rng(0)
 sgcn = ShiftUnit(3, 8, rng, SPATIAL_SHIFT, relu=True)
-tcn = ShiftUnit(8, 8, rng, FRAME_SHIFT, relu=False)  # temporal shift of radius 1, the recipe's
+tcn = ShiftUnit(8, 8, rng, FRAME_SHIFT, relu=False)  # the temporal shift and its adjoint
 x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
 hidden = sgcn(x)
 out = tcn(hidden)

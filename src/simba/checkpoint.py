@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -79,16 +80,28 @@ def _model_state(model) -> dict:
 
 
 def save_checkpoint(path, model, meta: dict | None = None) -> None:
+    """Write the model's state to ``<path>.tmp``, then rename it over ``path``.
+
+    A write that fails deletes the temporary file, so a file already at
+    ``path`` stays as it was.
+    """
     entries = _model_state(model)
     blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(entries)))
-        for name, arr in entries.items():
-            _write_entry(f, name, arr)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<H", VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", len(entries)))
+            for name, arr in entries.items():
+                _write_entry(f, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path):
@@ -116,13 +129,6 @@ def read_checkpoint(path):
         if trailing := _bytes_left(f):
             raise FormatError(f"{path}: {trailing} trailing bytes after the last entry")
     return meta, entries
-
-
-def load_checkpoint(path, model) -> dict:
-    """Restore model state from the file at ``path``; returns the meta dict."""
-    meta, entries = read_checkpoint(path)
-    restore_checkpoint(model, entries)
-    return meta
 
 
 def restore_checkpoint(model, entries: dict) -> None:

@@ -115,10 +115,6 @@ def preset_ntu60() -> TrainConfig:
     return TrainConfig()  # the defaults are the 25-joint / window-64 recipe
 
 
-def preset_ntu120() -> TrainConfig:
-    return TrainConfig()
-
-
 def preset_ucla() -> TrainConfig:
     return TrainConfig(
         weight_decay=4e-4, epochs=400, milestones=[110],
@@ -138,7 +134,7 @@ def preset_toy() -> TrainConfig:
 
 PRESETS = {
     "ntu60": preset_ntu60,
-    "ntu120": preset_ntu120,
+    "ntu120": preset_ntu60,  # the same recipe
     "ucla": preset_ucla,
     "toy": preset_toy,
 }

@@ -49,53 +49,25 @@ def spatial_shift(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out
 
 
-def temporal_offsets(c: int, radius: int) -> np.ndarray:
-    """Per-channel frame offset: channel c moves by (c mod (2r+1)) - r."""
-    return np.arange(c) % (2 * radius + 1) - radius
+def temporal_shift(x: np.ndarray, *, inverse: bool = False) -> np.ndarray:
+    """out[n,c,t,v] = x[n,c,t-u(c),v] with u(c) = (c mod 3) - 1, zero fill.
 
-
-def _shift_frames(arr: np.ndarray, radius: int, negate: bool) -> np.ndarray:
-    """arr[n,c,t-u(c),v] with zero fill for out-of-range frames."""
-    c, t = arr.shape[1], arr.shape[2]
-    period = 2 * radius + 1
-    out = np.zeros_like(arr)
-    for k in range(min(c, period)):
-        u = radius - k if negate else k - radius
-        if abs(u) >= t:
-            continue
-        src, dst = arr[:, k::period], out[:, k::period]
-        if u >= 0:
-            dst[:, :, u:] = src[:, :, :t - u]
-        else:
-            dst[:, :, :t + u] = src[:, :, -u:]
-    return out
-
-
-def temporal_shift(x: np.ndarray, radius: int) -> np.ndarray:
-    """Shift channel groups along the frame axis, zero-filled at the ends.
-
-    out[n,c,t,v] = x[n,c,t-u(c),v] with u from ``temporal_offsets``; frames
-    pulled from outside [0, T) read as zero.  Each input frame feeds at
-    most one output frame, so the adjoint is the shift with negated
-    offsets.
+    Frames pulled from outside [0, T) read as zero.  Each input frame feeds
+    at most one output frame, so the adjoint, ``inverse``, is the shift
+    with negated offsets.
     """
     if x.ndim != 4:
         raise ShapeError(f"temporal_shift expects [N,C,T,V], got {x.shape}")
-    if radius < 0:
-        raise ShapeError(f"shift radius must be >= 0, got {radius}")
-    return _shift_frames(x, radius, negate=False)
-
-
-def frame_shift(radius: int):
-    """The temporal shift's (forward, adjoint) pair at ``radius``."""
-    if radius < 0:
-        raise ShapeError(f"shift radius must be >= 0, got {radius}")
-    return (partial(_shift_frames, radius=radius, negate=False),
-            partial(_shift_frames, radius=radius, negate=True))
+    early, late = (2, 0) if inverse else (0, 2)  # channels that read frame t+1 / t-1
+    out = np.zeros_like(x)
+    out[:, early::3, :-1] = x[:, early::3, 1:]
+    out[:, 1::3] = x[:, 1::3]
+    out[:, late::3, 1:] = x[:, late::3, :-1]
+    return out
 
 
 SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
-FRAME_SHIFT = frame_shift(1)
+FRAME_SHIFT = (temporal_shift, partial(temporal_shift, inverse=True))
 
 
 class ShiftUnit(Module):

@@ -213,16 +213,25 @@ def test_train_outputs_reproducible_byte_for_byte(tmp_path, toy_config, toy_data
 
 
 def test_gradcheck_single_suite_passes(capsys):
-    assert run("gradcheck", "--module", "shift_tcn") == 0
+    assert run("gradcheck", "--module", "imamba") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "rel_err" in out
 
 
 def test_gradcheck_exit_code_reflects_failures(monkeypatch, capsys):
     from simba import gradcheck as gc
-    monkeypatch.setitem(gc.SUITES, "shift_tcn", lambda: [("rigged", 1.0, 1e-5)])
-    assert run("gradcheck", "--module", "shift_tcn") == 1
+    monkeypatch.setitem(gc.SUITES, "imamba", lambda: [("rigged", 1.0, 1e-5)])
+    assert run("gradcheck", "--module", "imamba") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_rejects_a_deleted_suite(capsys):
+    # the shift units' suites folded into `primitives` and `simba_module`
+    with pytest.raises(SystemExit) as exc:
+        run("gradcheck", "--module", "shift_tcn")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "invalid choice: 'shift_tcn'" in err
 
 
 def test_bench_scan_csv_contract(tmp_path, capsys):

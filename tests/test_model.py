@@ -6,7 +6,7 @@ import pytest
 
 from simba import nn
 from simba import tensor as T
-from simba.checkpoint import _write_entry, load_checkpoint, read_checkpoint, save_checkpoint
+from simba.checkpoint import _write_entry, read_checkpoint, restore_checkpoint, save_checkpoint
 from simba.errors import ConfigError, FormatError, ShapeError, ValidationError
 from simba.model import (
     PartitionGate,
@@ -342,26 +342,49 @@ def test_checkpoint_roundtrip_preserves_behavior(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, meta={"note": 7})
     other = tiny_model(seed=5).eval()  # different init
-    meta = load_checkpoint(path, other)
+    meta, entries = read_checkpoint(path)
+    restore_checkpoint(other, entries)
     assert meta == {"note": 7}
     with T.no_grad():
         after = other(x).data
     np.testing.assert_array_equal(after, before)
 
 
+def test_a_failed_save_leaves_the_previous_checkpoint_intact(tmp_path, monkeypatch):
+    from simba import checkpoint
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tiny_model(seed=14))
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    before = path.read_bytes()
+    written = []
+
+    def fail_on_the_third_entry(f, name, arr):
+        written.append(name)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        _write_entry(f, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_entry", fail_on_the_third_entry)
+    with pytest.raises(OSError, match="no space left on device"):
+        save_checkpoint(path, tiny_model(seed=15))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
 def test_checkpoint_validates_names_and_shapes(tmp_path):
     model = tiny_model(seed=6)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model)
+    entries = read_checkpoint(path)[1]
     bigger = SimbaModel(in_channels=3, channels=8, mamba_d=2, vertices=4, ssm_w=2,
                         depth=3, num_classes=10, rng=np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        load_checkpoint(path, bigger)
+        restore_checkpoint(bigger, entries)
     wrong_width = SimbaModel(in_channels=3, channels=8, mamba_d=2, vertices=4,
                              ssm_w=4, depth=2, num_classes=10,
                              rng=np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        load_checkpoint(path, wrong_width)
+        restore_checkpoint(wrong_width, entries)
 
 
 @pytest.mark.parametrize("stray", ["opt/velocity/modules_.0.entry.w",
@@ -380,7 +403,7 @@ def test_checkpoint_rejects_a_stray_entry_naming_it(tmp_path, stray):
     path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + entry)
     with pytest.raises(ValidationError, match=re.escape(f"0 missing, first []; 1 unknown, "
                                                         f"first ['{stray}']")):
-        load_checkpoint(path, tiny_model(seed=9))
+        restore_checkpoint(tiny_model(seed=9), read_checkpoint(path)[1])
 
 
 def test_checkpoint_with_batch_norm_and_ssm_sub_blocks_is_rejected(tmp_path):
@@ -397,7 +420,7 @@ def test_checkpoint_with_batch_norm_and_ssm_sub_blocks_is_rejected(tmp_path):
             _write_entry(f, re.sub(r"\.imamba\.(a_log|p|w_b|w_c|w_dt)\b", r".imamba.ssm.\1", name), arr)
     with pytest.raises(ValidationError, match=re.escape(
             "86 missing, first ['buffer/modules_.0.dec.0.running_mean'")) as info:
-        load_checkpoint(path, tiny_model(seed=13))
+        restore_checkpoint(tiny_model(seed=13), read_checkpoint(path)[1])
     assert "86 unknown, first ['buffer/modules_.0.dec.0.bn.running_mean'" in str(info.value)
     assert "param/modules_.0.imamba.ssm.a_log" in read_checkpoint(path)[1]
 

@@ -7,12 +7,15 @@ from simba.shift_gcn import (
     FRAME_SHIFT,
     SPATIAL_SHIFT,
     ShiftUnit,
-    frame_shift,
     spatial_shift,
-    temporal_offsets,
     temporal_shift,
 )
 from simba.tensor import Tensor
+
+
+def _offsets(c):
+    """u(c) = (c mod 3) - 1: the frame offset of each channel in the temporal shift."""
+    return np.arange(c) % 3 - 1
 
 
 def test_spatial_shift_channel_zero_unchanged():
@@ -53,16 +56,10 @@ def test_shifts_are_linear_maps():
     x = rng.normal(size=(1, 4, 5, 6))
     y = rng.normal(size=(1, 4, 5, 6))
     alpha, beta = 2.5, -1.25  # exactly representable
-    for op in (spatial_shift, lambda v: temporal_shift(v, 1)):
+    for op in (spatial_shift, temporal_shift):
         lhs = op(alpha * x + beta * y)
         rhs = alpha * op(x) + beta * op(y)
         np.testing.assert_array_equal(lhs, rhs)
-
-
-def test_temporal_shift_radius_zero_is_identity():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 5, 4, 3))
-    np.testing.assert_array_equal(temporal_shift(x, 0), x)
 
 
 def test_shift_maps_reject_bad_input():
@@ -70,35 +67,36 @@ def test_shift_maps_reject_bad_input():
     with pytest.raises(ShapeError, match=r"spatial_shift expects \[N,C,T,V\], got \(2, 3, 4\)"):
         spatial_shift(flat)
     with pytest.raises(ShapeError, match=r"temporal_shift expects \[N,C,T,V\], got \(2, 3, 4\)"):
-        temporal_shift(flat, 1)
-    with pytest.raises(ShapeError, match="radius must be >= 0, got -1"):
-        temporal_shift(np.zeros((1, 3, 4, 2)), -1)
-    with pytest.raises(ShapeError, match="radius must be >= 0, got -1"):
-        frame_shift(-1)
+        temporal_shift(flat)
+    with pytest.raises(TypeError):  # the radius is fixed; `inverse` is keyword-only
+        temporal_shift(np.zeros((1, 3, 4, 2)), 1)
 
 
 def test_temporal_shift_index_oracle():
-    # r=1: offsets per channel are [-1, 0, 1]; x[0,0,t,0] = t+1
+    # offsets per channel are [-1, 0, 1]; x[0,0,t,0] = t+1
     x = np.zeros((1, 3, 3, 1))
     x[0, :, :, 0] = np.arange(1.0, 4.0)[None, :]
-    out = temporal_shift(x, 1)
+    out = temporal_shift(x)
     np.testing.assert_array_equal(out[0, 0, :, 0], [2.0, 3.0, 0.0])  # u=-1 pulls future
     np.testing.assert_array_equal(out[0, 1, :, 0], [1.0, 2.0, 3.0])  # u=0
     np.testing.assert_array_equal(out[0, 2, :, 0], [0.0, 1.0, 2.0])  # u=+1 pulls past
 
 
 def test_temporal_offsets_pattern():
-    np.testing.assert_array_equal(temporal_offsets(5, 1), [-1, 0, 1, -1, 0])
-    np.testing.assert_array_equal(temporal_offsets(3, 0), [0, 0, 0])
+    # an impulse at frame 1 of every channel lands at frame 1 + u(c)
+    x = np.zeros((1, 5, 3, 1))
+    x[:, :, 1] = 1.0
+    landed = np.argmax(temporal_shift(x)[0, :, :, 0], axis=1) - 1
+    np.testing.assert_array_equal(landed, [-1, 0, 1, -1, 0])
+    np.testing.assert_array_equal(_offsets(5), landed)
 
 
 def test_temporal_shift_boundary_mass_accounting():
     rng = np.random.default_rng(5)
     n, c, t, v = 2, 7, 6, 3
     x = rng.normal(size=(n, c, t, v))
-    r = 1
-    out = temporal_shift(x, r)
-    offsets = temporal_offsets(c, r)
+    out = temporal_shift(x)
+    offsets = _offsets(c)
     lost = 0.0
     for ch, u in enumerate(offsets):
         if u > 0:
@@ -187,11 +185,11 @@ def _spatial_loop(x, inverse=False):
     return out
 
 
-def _temporal_loop(x, radius):
+def _temporal_loop(x):
     """Per-element oracle: out[n,c,t,v] = x[n,c,t-u(c),v], zero outside [0, T)."""
     n, c, t, v = x.shape
     out = np.zeros_like(x)
-    for ci, u in enumerate(temporal_offsets(c, radius)):
+    for ci, u in enumerate(_offsets(c)):
         for ti in range(t):
             if 0 <= ti - u < t:
                 out[:, ci, ti, :] = x[:, ci, ti - u, :]
@@ -206,10 +204,10 @@ def _gather_spatial(arr, inverse):
     return arr[:, np.arange(c)[:, None, None], np.arange(t)[None, :, None], vmap[:, None, :]]
 
 
-def _gather_temporal(arr, radius, negate):
+def _gather_temporal(arr, negate):
     """The padded-frame gather the slice-copy temporal shift replaced."""
     n, c, t, v = arr.shape
-    offsets = -temporal_offsets(c, radius) if negate else temporal_offsets(c, radius)
+    offsets = -_offsets(c) if negate else _offsets(c)
     src = np.arange(t)[None, :] - offsets[:, None]
     tmap = np.where((src >= 0) & (src < t), src, t)
     padded = np.concatenate([arr, np.zeros((n, c, 1, v), dtype=arr.dtype)], axis=2)
@@ -239,22 +237,19 @@ def test_spatial_shift_matches_loop_oracle(shape, inverse, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape,radius", [
-    ((2, 7, 5, 3), 1), ((2, 7, 5, 3), 2), ((1, 1, 4, 2), 1), ((1, 3, 6, 2), 2),
-    ((2, 9, 3, 2), 3), ((1, 11, 2, 3), 5),
-])
-def test_temporal_shift_matches_loop_oracle(shape, radius, dtype):
+@pytest.mark.parametrize("shape", [(2, 7, 5, 3), (1, 1, 4, 2), (2, 7, 1, 3), (1, 5, 2, 3)])
+def test_temporal_shift_matches_loop_oracle(shape, dtype):
     rng = np.random.default_rng(21)
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out, grad = _forward_backward(frame_shift(radius), x, g)
+    out, grad = _forward_backward(FRAME_SHIFT, x, g)
     assert out.dtype == dtype and grad.dtype == dtype
-    expected = _temporal_loop(x, radius)
+    expected = _temporal_loop(x)
     np.testing.assert_array_equal(out, expected)
     # the adjoint is the same shift with negated offsets: flip time, shift, flip back
-    np.testing.assert_array_equal(grad, _temporal_loop(g[:, :, ::-1], radius)[:, :, ::-1])
-    # channels whose offset reaches past the window come out zero in every frame
-    far = np.abs(temporal_offsets(shape[1], radius)) >= shape[2]
+    np.testing.assert_array_equal(grad, _temporal_loop(g[:, :, ::-1])[:, :, ::-1])
+    # channels whose offset reaches past the window (T = 1) come out zero in every frame
+    far = np.abs(_offsets(shape[1])) >= shape[2]
     assert np.all(out[:, far] == 0) and np.all(grad[:, far] == 0)
 
 
@@ -265,7 +260,7 @@ def test_shift_adjoint_identity(op):
     x, y = rng.normal(size=shape), rng.normal(size=shape)
     pair = {"spatial": _spatial_pair(False),
             "spatial_inverse": _spatial_pair(True),
-            "temporal": frame_shift(2)}[op]
+            "temporal": FRAME_SHIFT}[op]
     out, back = _forward_backward(pair, x, y)
     assert abs(np.vdot(out, y) - np.vdot(x, back)) <= 1e-12 * np.sum(np.abs(x * back))
 
@@ -279,9 +274,9 @@ def test_shifts_equal_the_gather_at_ntu60_shape():
         out, grad = _forward_backward(_spatial_pair(inverse), x, g)
         assert np.array_equal(out, _gather_spatial(x, inverse))
         assert np.array_equal(grad, _gather_spatial(g, not inverse))
-    out, grad = _forward_backward(frame_shift(1), x, g)
-    assert np.array_equal(out, _gather_temporal(x, 1, negate=False))
-    assert np.array_equal(grad, _gather_temporal(g, 1, negate=True))
+    out, grad = _forward_backward(FRAME_SHIFT, x, g)
+    assert np.array_equal(out, _gather_temporal(x, negate=False))
+    assert np.array_equal(grad, _gather_temporal(g, negate=True))
 
 
 def _op_nodes(out):

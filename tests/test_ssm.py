@@ -14,6 +14,7 @@ from simba.ssm import (
     zoh_discretize,
 )
 from simba.tensor import Tensor
+from composites import selective_scan_composite
 from tracemem import traced_memory
 
 
@@ -24,48 +25,6 @@ def _random_scan_inputs(rng, n, t, dp, w):
             Tensor(rng.normal(size=(n, t, w))),
             Tensor(rng.normal(size=(n, t, w))),
             Tensor(rng.normal(size=(n, t, dp))))
-
-
-def _zoh_composite(a_cont: Tensor, b_t: Tensor, delta: Tensor):
-    """The Tensor-level ZOH the fused scan op replaced: seven graph nodes."""
-    n, t, dp = delta.shape
-    w = a_cont.shape[-1]
-    da = T.reshape(delta, (n, t, dp, 1)) * a_cont
-    a_bar = T.exp(da)
-    b_bar = (a_bar - 1.0) / a_cont * T.reshape(b_t, (n, t, 1, w))
-    return a_bar, b_bar
-
-
-def _scan_states(a: np.ndarray, inj: np.ndarray, chunk) -> np.ndarray:
-    """The whole-array scan kernel of the composite: chunked when ``chunk`` is given."""
-    if chunk is None:
-        return ssm._scan_states_sequential(a, inj)
-    return ssm._scan_states_chunked(a, inj, chunk)
-
-
-def _scan_composite(a: Tensor, b: Tensor, c: Tensor, y: Tensor, chunk) -> Tensor:
-    """The scan op over precomputed a_bar/b_bar that the fused op replaced."""
-    inj = b.data * y.data[..., None]
-    h = _scan_states(a.data, inj, chunk)
-    out = np.einsum("ntw,ntdw->ntd", c.data, h)
-
-    def backward(g):
-        direct = g[..., None] * c.data[:, :, None, :]
-        a_rev = np.flip(a.data, axis=1)
-        coeff = np.concatenate([np.ones_like(a_rev[:, :1]), a_rev[:, :-1]], axis=1)
-        lam = np.flip(_scan_states(coeff, np.flip(direct, axis=1), chunk), axis=1)
-        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-        a._accumulate(lam * h_prev)
-        b._accumulate(lam * y.data[..., None])
-        y._accumulate(np.einsum("ntdw,ntdw->ntd", lam, b.data))
-        c._accumulate(np.einsum("ntd,ntdw->ntw", g, h))
-
-    return T._make(out, (a, b, c, y), backward)
-
-
-def _selective_scan_composite(delta, a_cont, b, c, y, chunk=None):
-    a_bar, b_bar = _zoh_composite(a_cont, b, delta)
-    return _scan_composite(a_bar, b_bar, c, y, chunk)
 
 
 def _selective_scan_materialized(delta, a_cont, b, c, y):
@@ -273,7 +232,7 @@ def test_fused_scan_matches_composite_float64(chunk):
     fused = ((lambda *a: selective_scan_sequential(*a)) if chunk is None
              else (lambda *a: selective_scan_parallel(*a, chunk)))
     results = []
-    for op in (fused, lambda *a: _selective_scan_composite(*a, chunk=chunk)):
+    for op in (fused, lambda *a: selective_scan_composite(*a, chunk=chunk)):
         leaves = [Tensor(d.copy(), requires_grad=True) for d in data]
         out = op(*leaves)
         (out * Tensor(proj)).sum().backward()

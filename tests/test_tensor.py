@@ -5,9 +5,15 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
-from simba.shift_gcn import SPATIAL_SHIFT, ShiftUnit, frame_shift
+from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftUnit
 from simba.tensor import Tensor
 from simba.train import softmax
+from composites import (
+    batch_norm2d_composite,
+    cross_entropy_composite,
+    partition_gate_composite,
+    shift_conv_bn_composite,
+)
 
 
 def test_pointwise_conv2d_matches_triple_loop():
@@ -118,27 +124,6 @@ def test_batchnorm_running_stats_update():
         rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)) * count / (count - 1), atol=1e-12)
 
 
-def _batch_norm2d_composite(x, gamma, beta, running_mean, running_var, training,
-                            momentum=0.1, eps=1e-5):
-    """The batch-norm built from tensor primitives that the fused op replaced."""
-    c = x.shape[1]
-    if training:
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        xhat = centered / T.sqrt(var + eps)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.data.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(c) * count / (count - 1)
-    else:
-        rm = Tensor(running_mean.reshape(1, c, 1, 1), dtype=x.dtype)
-        rv = Tensor(running_var.reshape(1, c, 1, 1), dtype=x.dtype)
-        xhat = (x - rm) / T.sqrt(rv + eps)
-    return xhat * T.reshape(gamma, (1, c, 1, 1)) + T.reshape(beta, (1, c, 1, 1))
-
-
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_fused_matches_composite_float64(training):
     rng = np.random.default_rng(14)
@@ -147,7 +132,7 @@ def test_batchnorm_fused_matches_composite_float64(training):
     rm0, rv0 = rng.normal(size=4), 0.5 + rng.random(4)
     weights = rng.normal(size=x0.shape)
     results = []
-    for op in (_bn, _batch_norm2d_composite):
+    for op in (_bn, batch_norm2d_composite):
         x = Tensor(x0, requires_grad=True)
         gamma, beta = Tensor(g0, requires_grad=True), Tensor(b0, requires_grad=True)
         rm, rv = rm0.copy(), rv0.copy()
@@ -159,61 +144,9 @@ def test_batchnorm_fused_matches_composite_float64(training):
         assert np.max(np.abs(fused - composite)) <= 1e-12, name
 
 
-def _shift_node(pair, x):
-    """A (forward, adjoint) shift pair recorded as a graph node of its own."""
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(pair[1](g), owned=True)
-
-    return T._make(pair[0](x.data), (x,), backward)
-
-
-def _relu_node(x):
-    """ReLU as a graph node of its own; its subgradient at 0 is 0."""
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (x.data > 0.0), owned=True)
-
-    return T._make(np.maximum(x.data, 0.0), (x,), backward)
-
-
-def _conv_node(x, w, b):
-    """A biased 1x1 conv over the channels of x[N, C, T, V] as a graph node of its own."""
-    n, ci, t, v = x.shape
-    co = w.shape[0]
-    data = (w.data @ x.data.reshape(n, ci, t * v)).reshape(n, co, t, v)
-    data += b.data[None, :, None, None]
-
-    def backward(g):
-        gm = g.reshape(n, co, t * v)
-        if x.requires_grad:
-            x._accumulate((w.data.T @ gm).reshape(x.shape), owned=True)
-        if w.requires_grad:
-            w._accumulate(T._pointwise_weight_grad(gm, x.data.reshape(n, ci, t * v)), owned=True)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-
-    return T._make(data, (x, w, b), backward)
-
-
-def _shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, training,
-                             shift, relu, skip=None, conv_bias=None):
-    """The unit as the blocks built it before fusion: one node per step.
-
-    The conv bias is a constant zero unless ``conv_bias`` is given.
-    """
-    if conv_bias is None:
-        conv_bias = Tensor(np.zeros(w.shape[0]), dtype=x.dtype)
-    out = _conv_node(_shift_node(shift, x) if shift else x, w, conv_bias)
-    out = _batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
-    out = out if skip is None else out + skip
-    return _relu_node(out) if relu else out
-
-
 UNITS = {
     "spatial_relu": (SPATIAL_SHIFT, True),
-    "temporal_r1": (frame_shift(1), False),
-    "temporal_r2": (frame_shift(2), False),
+    "temporal_r1": (FRAME_SHIFT, False),
     "no_shift": (None, False),
     "residual_exit": (None, True),  # takes a skip: ReLU(BN(conv(x)) + skip)
 }
@@ -239,7 +172,7 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
     for fused in (True, False):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
-        unit_fn = T.shift_conv_bn if fused else _shift_conv_bn_composite
+        unit_fn = T.shift_conv_bn if fused else shift_conv_bn_composite
         out = unit_fn(*leaves[:4], rm, rv, training, pair, relu, *leaves[4:])
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
@@ -267,7 +200,7 @@ def test_train_mode_batch_norm_cancels_a_conv_bias_float64(unit):
         if fused:
             out = T.shift_conv_bn(*unit_args)
         else:
-            out = _shift_conv_bn_composite(*unit_args, conv_bias=conv_bias)
+            out = shift_conv_bn_composite(*unit_args, conv_bias=conv_bias)
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves)))
     for name, fused, composite in zip(("out", "dx", "dw", "dgamma", "dbeta", "dskip"), *results):
@@ -302,7 +235,7 @@ def test_fanout_into_two_shift_units_matches_composite_float64():
             if fused:
                 out = T.shift_conv_bn(x, *leaves, rm, rv, True, pair, relu)
             else:
-                out = _shift_conv_bn_composite(x, *leaves, rm, rv, True, pair, relu)
+                out = shift_conv_bn_composite(x, *leaves, rm, rv, True, pair, relu)
             total = total + (out * weights).sum()
         total.backward()
         grads.append(x.grad)
@@ -343,33 +276,6 @@ def test_shift_conv_bn_rejects_a_post_skip_of_another_shape():
                         post_skip=np.ones((2, 3, 4, 5)))
 
 
-def _blend_node(x, pz, gate, scatter):
-    """x + (1 - gate)·(pz @ scatter - x) as the one node the gate's blend was before the fusion."""
-    open_ = 1.0 - gate.data
-    e = pz.data @ scatter
-    e -= x.data
-    e *= open_
-    e += x.data
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * gate.data, owned=True)
-        if pz.requires_grad:
-            pz._accumulate((g * open_) @ scatter.T, owned=True)
-        if gate.requires_grad:
-            diff = pz.data @ scatter
-            diff -= x.data
-            diff *= g
-            gate._accumulate(-T._unbroadcast(diff, gate.shape), owned=True)
-
-    return T._make(e, (x, pz, gate), backward)
-
-
-def _partition_gate_composite(x, w, b, gate, pool, scatter):
-    """The gate as three nodes: x @ pool, the 1x1 conv, then scatter and blend."""
-    return _blend_node(x, _conv_node(x @ Tensor(pool), w, b), gate, scatter)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_partition_gate_matches_composite(dtype):
     rng = np.random.default_rng(18)
@@ -381,7 +287,7 @@ def test_partition_gate_matches_composite(dtype):
                                         rng.normal(size=c), rng.random((1, c, 1, 1)))]
     weights = rng.normal(size=(n, c, t, v)).astype(dtype)
     results = []
-    for op in (T.partition_gate, _partition_gate_composite):
+    for op in (T.partition_gate, partition_gate_composite):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(*leaves, pool, scatter)
         (out * weights).sum().backward()
@@ -559,21 +465,12 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     np.testing.assert_allclose(logits.grad, expected / 4.0, atol=1e-12)
 
 
-def _cross_entropy_composite(logits, labels):
-    """The cross-entropy built from tensor primitives that the fused op replaced,
-    with the label pick written as a one-hot product."""
-    z = logits - np.max(logits.data, axis=1, keepdims=True)
-    lse = T.log(T.exp(z).sum(axis=1, keepdims=True))
-    picked = z * Tensor(np.eye(logits.shape[1])[labels])
-    return (lse - picked.sum(axis=1, keepdims=True)).mean()
-
-
 def test_cross_entropy_matches_composite_float64():
     rng = np.random.default_rng(12)
     x0 = rng.normal(size=(6, 7)) * 5
     labels = np.array([0, 6, 3, 3, 1, 5])
     results = []
-    for op in (T.cross_entropy_logits, _cross_entropy_composite):
+    for op in (T.cross_entropy_logits, cross_entropy_composite):
         logits = Tensor(x0, requires_grad=True)
         loss = op(logits, labels)
         (loss * 2.5).backward()

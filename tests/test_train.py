@@ -16,7 +16,7 @@ from simba.config import PRESETS, TrainConfig, preset_toy
 from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationError
 from simba.data import synth_generate
 from simba.nn import Parameter
-from simba.shift_gcn import FRAME_SHIFT, temporal_shift
+from simba.shift_gcn import FRAME_SHIFT
 from simba.tensor import BN_MOMENTUM, Tensor, cross_entropy_logits
 from simba.train import (LR_DECAY_RATE, MOMENTUM, SGD, WARMUP_EPOCHS, accuracy, build_model,
                          evaluate, fuse_scores, load_scores, lr_at, save_scores, train)
@@ -105,7 +105,10 @@ def test_presets_match_published_tables():
     assert (ntu.base_lr, LR_DECAY_RATE, WARMUP_EPOCHS) == (0.025, 0.1, 5)
     assert (MOMENTUM, BN_MOMENTUM) == (0.9, 0.1)
     x = np.random.default_rng(0).normal(size=(1, 6, 4, 2))
-    np.testing.assert_array_equal(FRAME_SHIFT[0](x), temporal_shift(x, 1))  # radius 1
+    shifted = FRAME_SHIFT[0](x)  # radius 1: channel groups read frames t+1, t, t-1
+    np.testing.assert_array_equal(shifted[:, 0::3, :-1], x[:, 0::3, 1:])
+    np.testing.assert_array_equal(shifted[:, 1::3], x[:, 1::3])
+    np.testing.assert_array_equal(shifted[:, 2::3, 1:], x[:, 2::3, :-1])
     assert (ntu.milestones, ntu.epochs) == ([75, 85], 90)
     assert (ntu.batch_size_train, ntu.batch_size_eval) == (64, 512)
     assert (ntu.weight_decay, ntu.window_T, ntu.channels_C, ntu.mamba_D) == (1e-4, 64, 216, 20)
