@@ -7,7 +7,6 @@ import numpy as np
 
 from simba import ShiftUnit, Tensor, spatial_shift, temporal_shift
 from simba import tensor as T
-from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT
 
 print("=== spatial shift: channel c rotates the joint axis by c ===")
 # one frame, 4 channels, 5 joints; values encode the joint index
@@ -32,8 +31,8 @@ for c in range(3):
 
 print("\n=== one unit class, two shifts ===")
 rng = np.random.default_rng(0)
-sgcn = ShiftUnit(3, 8, rng, SPATIAL_SHIFT, relu=True)
-tcn = ShiftUnit(8, 8, rng, FRAME_SHIFT, relu=False)  # the temporal shift and its adjoint
+sgcn = ShiftUnit(3, 8, rng, spatial_shift, relu=True)
+tcn = ShiftUnit(8, 8, rng, temporal_shift, relu=False)  # backward: temporal_shift(g, inverse=True)
 x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
 hidden = sgcn(x)
 out = tcn(hidden)

@@ -1,20 +1,11 @@
 """Skeleton action recognition with shift graph convolutions and a selective
 state-space core, built on a small numpy autodiff engine.
 
-SIMBA_THREADS caps BLAS worker threads; it must take effect before numpy
-loads, hence the env propagation at the top of this module; it also sets how
-many shards an evaluation batch splits into (``train.evaluate``).  On glibc the
-import also sets the process's malloc mmap and trim thresholds and arena count
-(below).
+On glibc the import sets the process's malloc mmap and trim thresholds and
+arena count (below).
 """
 
 import ctypes as _ctypes
-import os as _os
-
-_threads = _os.environ.get("SIMBA_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 # keep freed arrays in glibc's heap: M_MMAP_THRESHOLD (-3) 32 MiB, its maximum; M_TRIM_THRESHOLD (-1) 1 GiB;
 # M_ARENA_MAX (-8) 1, so the threads of a sharded eval batch share that heap instead of growing one each

@@ -79,29 +79,38 @@ def _model_state(model) -> dict:
     return state
 
 
-def save_checkpoint(path, model, meta: dict | None = None) -> None:
-    """Write the model's state to ``<path>.tmp``, then rename it over ``path``.
+def write_atomic(path, write) -> None:
+    """Run ``write(f)`` on ``<path>.tmp`` opened for binary writing, then rename it over ``path``.
 
     A write that fails deletes the temporary file, so a file already at
     ``path`` stays as it was.
     """
-    entries = _model_state(model)
-    blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<H", VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", len(entries)))
-            for name, arr in entries.items():
-                _write_entry(f, name, arr)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, model, meta: dict | None = None) -> None:
+    """Write the model's state to ``path`` through ``write_atomic``."""
+    entries = _model_state(model)
+    blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+
+    def write(f):
+        f.write(MAGIC)
+        f.write(struct.pack("<H", VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        f.write(struct.pack("<I", len(entries)))
+        for name, arr in entries.items():
+            _write_entry(f, name, arr)
+
+    write_atomic(path, write)
 
 
 def read_checkpoint(path):

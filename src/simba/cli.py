@@ -41,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train a model on a dataset container")
-    p.add_argument("--config", help="JSON config file (defaults to the toy preset)")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="named preset instead of --config")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON config file (defaults to the toy preset)")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="named preset instead of --config")
     p.add_argument("--data", required=True)
     p.add_argument("--eval-data", help="held-out container (defaults to --data)")
     p.add_argument("--modality", default="joint", choices=[m.value for m in Modality])
@@ -52,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a dataset with a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", choices=[m.value for m in Modality],
-                   help="input stream (defaults to, and must match, the checkpoint's)")
     p.add_argument("--scores", required=True, help="output JSON path")
 
     p = sub.add_parser("fuse", help="sum softmax streams and report accuracy")
@@ -83,8 +82,6 @@ def _cmd_synth(args) -> int:
 
 
 def _load_config(args) -> TrainConfig:
-    if args.config and args.preset:
-        raise ValidationError("use either --config or --preset, not both")
     if args.config:
         return TrainConfig.load(args.config)
     return PRESETS[args.preset or "toy"]()
@@ -109,17 +106,13 @@ def _cmd_eval(args) -> int:
     if missing:
         raise ValidationError(f"{args.ckpt}: checkpoint meta lacks {missing}; "
                               "evaluate a checkpoint that `simba train` wrote")
-    modality = args.modality or meta["modality"]
-    if modality != meta["modality"]:
-        raise ValidationError(f"--modality {modality} does not match the checkpoint, "
-                              f"which was trained on {meta['modality']!r}")
     cfg = TrainConfig.from_dict(meta["config"])
     ds = load_dataset(args.data)
     ds.check_layout(meta, "the checkpoint", cfg.partitions_enabled)
     model = build_model(cfg, ds)
     restore_checkpoint(model, entries)
     del entries  # the model holds the weights now
-    probs, labels = evaluate(model, ds, cfg, modality)
+    probs, labels = evaluate(model, ds, cfg, meta["modality"])
     save_scores(args.scores, probs)
     print(f"top-1 accuracy {accuracy(probs, labels):.4f} on {len(ds)} samples; "
           f"scores written to {args.scores}")

@@ -32,7 +32,7 @@ class TrainConfig:
     Nesterov momentum 0.9 (``train.MOMENTUM``), a 5-epoch warmup and 0.1
     step decay (``train.WARMUP_EPOCHS``, ``train.LR_DECAY_RATE``), batch-norm
     momentum 0.1 (``tensor.BN_MOMENTUM``), and a temporal shift of radius 1
-    (``shift_gcn.FRAME_SHIFT``).
+    (``shift_gcn.temporal_shift``).
     """
 
     # optimization

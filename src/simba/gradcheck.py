@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import SimbaModule
-from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT
+from .shift_gcn import spatial_shift, temporal_shift
 from .ssm import IMambaBlock, selective_scan_parallel, selective_scan_sequential
 from .tensor import Tensor
 
@@ -172,15 +172,15 @@ def suite_primitives():
     # move each channel's ReLU threshold into the widest gap between its
     # pre-activations, so no difference quotient straddles the kink
     with T.no_grad():
-        pre = T.shift_conv_bn(xg, w, gamma, beta, rm.copy(), rv.copy(), True, SPATIAL_SHIFT,
+        pre = T.shift_conv_bn(xg, w, gamma, beta, rm.copy(), rv.copy(), True, spatial_shift,
                               skip=skip)
     beta.data -= _widest_gap_midpoints(pre.data.transpose(1, 0, 2, 3).reshape(5, -1))
     leaves = {"x": xg, "w": w, "gamma": gamma, "beta": beta}
-    run("shift_conv_bn_train_relu", conv_bn(True, SPATIAL_SHIFT, True, skip), dict(leaves, skip=skip))
+    run("shift_conv_bn_train_relu", conv_bn(True, spatial_shift, True, skip), dict(leaves, skip=skip))
     post = _leaf(np.random.default_rng(13), pc.shape)  # added after the ReLU: the kinks stay put
-    run("shift_conv_bn_post_skip", conv_bn(True, SPATIAL_SHIFT, True, skip, post),
+    run("shift_conv_bn_post_skip", conv_bn(True, spatial_shift, True, skip, post),
         dict(leaves, skip=skip, post_skip=post))
-    run("shift_conv_bn_train", conv_bn(True, FRAME_SHIFT, False), leaves)
+    run("shift_conv_bn_train", conv_bn(True, temporal_shift, False), leaves)
     rm[:] = rng.normal(size=5)
     rv[:] = 0.5 + rng.random(5)
     run("shift_conv_bn_eval", conv_bn(False, None, False), leaves)

@@ -33,7 +33,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .nn import Linear, Module, Parameter, uniform_init
-from .shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftUnit
+from .shift_gcn import ShiftUnit, spatial_shift, temporal_shift
 from .ssm import IMambaBlock
 from .tensor import Tensor
 
@@ -99,14 +99,14 @@ class SimbaModule(Module):
         if c < 4 or c % 4 != 0:
             raise ConfigError(f"channel dimension must be a positive multiple of 4, got {c}")
         self.v = v
-        self.entry = ShiftUnit(c_in, c, rng, SPATIAL_SHIFT, relu=True)
+        self.entry = ShiftUnit(c_in, c, rng, spatial_shift, relu=True)
         self.gate = PartitionGate(c, partition_labels, rng) if partition_labels is not None else None
-        self.enc = [ShiftUnit(a, b, rng, SPATIAL_SHIFT, relu=True)
+        self.enc = [ShiftUnit(a, b, rng, spatial_shift, relu=True)
                     for a, b in ((c, c // 2), (c // 2, c // 4), (c // 4, d))]
         self.imamba = IMambaBlock(v * d, w, rng, scan_chunk=scan_chunk) if with_imamba else None
-        self.dec = [ShiftUnit(a, b, rng, SPATIAL_SHIFT, relu=True)
+        self.dec = [ShiftUnit(a, b, rng, spatial_shift, relu=True)
                     for a, b in ((d, c // 4), (c // 4, c // 2), (c // 2, c))]
-        self.tcn = ShiftUnit(c, c, rng, FRAME_SHIFT, relu=False)
+        self.tcn = ShiftUnit(c, c, rng, temporal_shift, relu=False)
         self.residual = ShiftUnit(c_in, c, rng, None, relu=True)
 
     def encode(self, x: Tensor) -> list:

@@ -9,19 +9,17 @@ ops: slice copies, one or two per class of channels that move alike, so
 they build no index arrays and cache nothing.
 
 Each ``ShiftUnit`` is one ``tensor.shift_conv_bn`` node: shift -> 1x1 conv
--> batch-norm [+ skip] [-> ReLU] [+ post_skip], with the shift handed over
-as a (forward, adjoint) pair of these maps: ``SPATIAL_SHIFT``, or
-``FRAME_SHIFT``, the temporal shift at the Shift-GCN recipe's radius of 1.
-Each unit owns its conv weight ``w`` [Cout, Cin] and no conv bias, which
-the batch-norm after it would cancel.  In eval mode the node folds
-batch-norm into the conv, one GEMM plus a per-channel shift [plus skip,
-ReLU and post_skip].  In either mode the node keeps no normalised x̂: its
+-> batch-norm [+ skip] [-> ReLU] [+ post_skip].  The shift is one of these
+maps, ``spatial_shift`` or ``temporal_shift`` at the Shift-GCN recipe's
+radius of 1, and the node's backward calls it with ``inverse=True``, its
+adjoint.  Each unit owns its conv weight ``w`` [Cout, Cin] and no conv
+bias, which the batch-norm after it would cancel.  In eval mode the node
+folds batch-norm into the conv: one GEMM plus a per-channel shift [plus
+skip, ReLU and post_skip].  Neither mode keeps the normalised x̂: the
 backward re-runs the shift once and rebuilds x̂ from it, bit-identically.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .nn import Module, Parameter, uniform_init
 from .tensor import Tensor
 
 
-def spatial_shift(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+def spatial_shift(x: np.ndarray, *, inverse: bool = False) -> np.ndarray:
     """out[n,c,t,v] = x[n,c,t,(v+c) mod V]; ``inverse`` undoes it exactly.
 
     A pure permutation within every (n, t) slice, so its adjoint is the
@@ -66,16 +64,12 @@ def temporal_shift(x: np.ndarray, *, inverse: bool = False) -> np.ndarray:
     return out
 
 
-SPATIAL_SHIFT = (spatial_shift, partial(spatial_shift, inverse=True))
-FRAME_SHIFT = (temporal_shift, partial(temporal_shift, inverse=True))
-
-
 class ShiftUnit(Module):
     """shift -> bias-free pointwise conv ``w`` -> BN [+ skip] [-> ReLU] [+ post_skip], Cin to Cout.
 
-    The S-GCN units take ``SPATIAL_SHIFT`` and a ReLU, a decoder unit adding
-    its encoder skip as ``post_skip``; the T-GCN takes ``FRAME_SHIFT`` and no
-    ReLU; the module exit takes no shift and adds its ``skip`` before the
+    The S-GCN units take ``spatial_shift`` and a ReLU, a decoder unit adding
+    its encoder skip as ``post_skip``; the T-GCN takes ``temporal_shift`` and
+    no ReLU; the module exit takes no shift and adds its ``skip`` before the
     ReLU.  The unit owns batch-norm's ``gamma``, ``beta`` and running
     statistics, which the node updates at ``tensor.BN_MOMENTUM`` in train
     mode.  ``eps`` is the op's default; a test may set it to 0.

@@ -519,10 +519,10 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
                   eps: float = 1e-5) -> Tensor:
     """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] [+ post_skip] on x[N, Cin, T, V], one graph node.
 
-    ``shift`` is a (forward, adjoint) pair of numpy functions applied to the
-    input before the conv, or None.  The conv has no bias: train-mode
-    batch-norm subtracts the batch mean, which cancels any bias added before
-    it (Ioffe & Szegedy 2015, §3.2), and β shifts the output instead.
+    ``shift`` is None or a numpy map applied to the input before the conv,
+    whose ``shift(g, inverse=True)`` is its adjoint.  The conv has no bias:
+    train-mode batch-norm subtracts the batch mean, which cancels any bias
+    added before it (Ioffe & Szegedy 2015, §3.2); β shifts the output.
     Batch-norm normalizes each output channel over the (N, T, V) axes: train
     mode uses the batch statistics and updates the running arrays in place
     (exponential moving average at rate ``BN_MOMENTUM``, unbiased variance);
@@ -561,7 +561,7 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         raise DomainError(f"batch-norm train mode needs >=2 elements per channel, got {count}")
 
     def conv_input():
-        return (x.data if shift is None else shift[0](x.data)).reshape(n, ci, t * v)
+        return (x.data if shift is None else shift(x.data)).reshape(n, ci, t * v)
 
     if training:
         xhat = np.matmul(w.data, conv_input())
@@ -637,7 +637,7 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         xs = None  # dead: gx = Wᵀ·gz reads only gz
         if x.requires_grad:
             gx = np.matmul(w.data.T, gz).reshape(x.shape)
-            x._accumulate(gx if shift is None else shift[1](gx), owned=True)
+            x._accumulate(gx if shift is None else shift(gx, inverse=True), owned=True)
 
     return _make(out.reshape(n, co, t, v), parents, backward)
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_atomic
 from .config import TrainConfig
 from .data import SkeletonDataset, assemble_batch
 from .errors import DomainError, TrainingAbort, ValidationError
@@ -238,8 +238,7 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "metrics.jsonl")
         ckpt_path = os.path.join(out_dir, "checkpoint.bin")
-        with open(log_path, "w"):
-            pass
+        write_atomic(log_path, lambda f: None)
 
     order_base = np.repeat(np.arange(len(train_ds)), cfg.repeat_augmentation)
     for epoch in range(cfg.epochs):
@@ -282,9 +281,9 @@ def train(model: SimbaModel, train_ds: SkeletonDataset, eval_ds: SkeletonDataset
             "eval_acc": eval_acc,
         }
         metrics.append(record)
-        if log_path is not None:
-            with open(log_path, "a") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+        if log_path is not None:  # the whole log each epoch, so a failed write keeps the last one
+            log = "".join(json.dumps(r, sort_keys=True) + "\n" for r in metrics).encode("utf-8")
+            write_atomic(log_path, lambda f: f.write(log))
         if eval_acc > best_acc:
             best_acc = eval_acc
             if ckpt_path is not None:

@@ -29,13 +29,13 @@ def batch_norm2d_composite(x, gamma, beta, running_mean, running_var, training,
     return xhat * T.reshape(gamma, (1, c, 1, 1)) + T.reshape(beta, (1, c, 1, 1))
 
 
-def _shift_node(pair, x):
-    """A (forward, adjoint) shift pair recorded as a graph node of its own."""
+def _shift_node(shift, x):
+    """A shift map recorded as a graph node of its own; ``shift(g, inverse=True)`` is its adjoint."""
     def backward(g):
         if x.requires_grad:
-            x._accumulate(pair[1](g), owned=True)
+            x._accumulate(shift(g, inverse=True), owned=True)
 
-    return T._make(pair[0](x.data), (x,), backward)
+    return T._make(shift(x.data), (x,), backward)
 
 
 def _relu_node(x):
@@ -67,17 +67,20 @@ def _conv_node(x, w, b):
 
 
 def shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, training,
-                            shift, relu, skip=None, conv_bias=None):
+                            shift, relu, skip=None, post_skip=None, eps=1e-5, conv_bias=None):
     """The unit as the blocks built it before fusion: one node per step.
 
-    The conv bias is a constant zero unless ``conv_bias`` is given.
+    Takes ``tensor.shift_conv_bn``'s arguments in its order, so it can stand
+    in for the fused op.  The conv bias is a constant zero unless
+    ``conv_bias`` is given.
     """
     if conv_bias is None:
         conv_bias = Tensor(np.zeros(w.shape[0]), dtype=x.dtype)
     out = _conv_node(_shift_node(shift, x) if shift else x, w, conv_bias)
-    out = batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
+    out = batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training, eps=eps)
     out = out if skip is None else out + skip
-    return _relu_node(out) if relu else out
+    out = _relu_node(out) if relu else out
+    return out if post_skip is None else out + post_skip
 
 
 def _blend_node(x, pz, gate, scatter):

@@ -135,21 +135,32 @@ def test_eval_rejects_a_checkpoint_with_a_conv_bias(tmp_path, toy_config, toy_da
     assert "0 missing, first []; 1 unknown, first ['param/modules_.0.entry.conv.b']" in capsys.readouterr().err
 
 
-def test_eval_modality_defaults_to_the_checkpoints(tmp_path, toy_config, toy_data, capsys):
+def test_eval_takes_the_modality_from_the_checkpoint(tmp_path, toy_config, toy_data, capsys):
+    # the checkpoint names the stream it was trained on; eval has no flag to restate it
+    from simba.config import TrainConfig
+    from simba.train import evaluate, save_scores
     out = tmp_path / "run"
     assert run("train", "--config", str(toy_config), "--data", str(toy_data),
                "--modality", "bone", "--out", str(out), "--quiet") == 0
     ckpt = str(out / "checkpoint.bin")
-    scores = {}
-    for flag in ((), ("--modality", "bone")):
-        path = tmp_path / f"scores{len(flag)}.json"
-        assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--scores", str(path), *flag) == 0
-        scores[flag] = path.read_bytes()
-    assert scores[()] == scores[("--modality", "bone")]
+    path = tmp_path / "scores.json"
+    assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--scores", str(path)) == 0
+    meta, entries = read_checkpoint(ckpt)
+    cfg, ds = TrainConfig.from_dict(meta["config"]), load_dataset(toy_data)
+    model = cli.build_model(cfg, ds)
+    cli.restore_checkpoint(model, entries)
+    streams = {}
+    for modality in ("bone", "joint"):
+        save_scores(tmp_path / f"{modality}.json", evaluate(model, ds, cfg, modality)[0])
+        streams[modality] = (tmp_path / f"{modality}.json").read_bytes()
+    assert path.read_bytes() == streams["bone"] != streams["joint"]
     capsys.readouterr()
-    assert run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--modality", "joint",
-               "--scores", str(tmp_path / "joint.json")) == 1
-    assert "which was trained on 'bone'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--ckpt", ckpt, "--data", str(toy_data), "--modality", "bone",
+            "--scores", str(tmp_path / "flag.json"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "unrecognized arguments: --modality bone" in err
 
 
 def test_eval_rejects_a_dataset_grouped_unlike_training(tmp_path, toy_config, toy_data, capsys):
@@ -247,6 +258,16 @@ def test_bench_scan_csv_contract(tmp_path, capsys):
         cells = line.split(",")
         assert cells[1:5] == ["256", "4", "4", cells[4]]
         assert float(cells[5]) > 0.0
+
+
+def test_config_and_preset_together_exit_one(tmp_path, toy_config, toy_data, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--config", str(toy_config), "--preset", "toy", "--data", str(toy_data),
+            "--out", str(tmp_path / "run"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "argument --preset: not allowed with argument --config" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_flag_exits_one(capsys):

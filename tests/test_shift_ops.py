@@ -3,13 +3,7 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import ShapeError
-from simba.shift_gcn import (
-    FRAME_SHIFT,
-    SPATIAL_SHIFT,
-    ShiftUnit,
-    spatial_shift,
-    temporal_shift,
-)
+from simba.shift_gcn import ShiftUnit, spatial_shift, temporal_shift
 from simba.tensor import Tensor
 
 
@@ -68,8 +62,9 @@ def test_shift_maps_reject_bad_input():
         spatial_shift(flat)
     with pytest.raises(ShapeError, match=r"temporal_shift expects \[N,C,T,V\], got \(2, 3, 4\)"):
         temporal_shift(flat)
-    with pytest.raises(TypeError):  # the radius is fixed; `inverse` is keyword-only
-        temporal_shift(np.zeros((1, 3, 4, 2)), 1)
+    for op in (spatial_shift, temporal_shift):
+        with pytest.raises(TypeError):  # the radius is fixed; `inverse` is keyword-only
+            op(np.zeros((1, 3, 4, 2)), 1)
 
 
 def test_temporal_shift_index_oracle():
@@ -108,7 +103,7 @@ def test_temporal_shift_boundary_mass_accounting():
 
 def test_shift_sgcn_identity_conv_passthrough():
     rng = np.random.default_rng(6)
-    block = ShiftUnit(3, 3, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(3, 3, rng, spatial_shift, relu=True)
     block.w.data[:] = np.eye(3)
     block.eval()  # running stats are mean 0 / var 1 -> BN ~ identity at eps=0
     block.eps = 0.0
@@ -119,28 +114,28 @@ def test_shift_sgcn_identity_conv_passthrough():
 
 def test_shift_sgcn_encoder_shape_contract():
     rng = np.random.default_rng(7)
-    block = ShiftUnit(216, 108, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(216, 108, rng, spatial_shift, relu=True)
     x = Tensor(rng.normal(size=(2, 216, 64, 25)))
     assert block(x).shape == (2, 108, 64, 25)
 
 
 def test_shift_sgcn_output_nonnegative():
     rng = np.random.default_rng(8)
-    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(4, 6, rng, spatial_shift, relu=True)
     out = block(Tensor(rng.normal(size=(2, 4, 5, 3))))
     assert np.all(out.data >= 0.0)
 
 
 def test_shift_sgcn_channel_mismatch():
     rng = np.random.default_rng(9)
-    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(4, 6, rng, spatial_shift, relu=True)
     with pytest.raises(ShapeError):
         block(Tensor(np.zeros((1, 5, 2, 2))))
 
 
 def test_shift_tcn_shape_preserving():
     rng = np.random.default_rng(10)
-    block = ShiftUnit(216, 216, rng, FRAME_SHIFT, relu=False)
+    block = ShiftUnit(216, 216, rng, temporal_shift, relu=False)
     x = Tensor(rng.normal(size=(2, 216, 64, 25)))
     assert block(x).shape == (2, 216, 64, 25)
 
@@ -164,7 +159,7 @@ def test_unit_tcn_maps_channels():
 
 def test_blocks_differentiable_end_to_end():
     rng = np.random.default_rng(13)
-    block = ShiftUnit(3, 4, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(3, 4, rng, spatial_shift, relu=True)
     x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     block(x).sum().backward()
     assert x.grad is not None and np.all(np.isfinite(x.grad))
@@ -214,13 +209,9 @@ def _gather_temporal(arr, negate):
     return padded[:, np.arange(c)[:, None, None], tmap[:, :, None], np.arange(v)[None, None, :]]
 
 
-def _spatial_pair(inverse):
-    return SPATIAL_SHIFT[::-1] if inverse else SPATIAL_SHIFT
-
-
-def _forward_backward(pair, x, g):
-    """The shift of x and its adjoint applied to g."""
-    return pair[0](x), pair[1](g)
+def _forward_backward(shift, x, g, inverse=False):
+    """The shift (its inverse when ``inverse``) of x, and that map's adjoint applied to g."""
+    return shift(x, inverse=inverse), shift(g, inverse=not inverse)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -230,7 +221,7 @@ def test_spatial_shift_matches_loop_oracle(shape, inverse, dtype):
     rng = np.random.default_rng(20)
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out, grad = _forward_backward(_spatial_pair(inverse), x, g)
+    out, grad = _forward_backward(spatial_shift, x, g, inverse)
     assert out.dtype == dtype and grad.dtype == dtype
     np.testing.assert_array_equal(out, _spatial_loop(x, inverse))
     np.testing.assert_array_equal(grad, _spatial_loop(g, not inverse))
@@ -242,7 +233,7 @@ def test_temporal_shift_matches_loop_oracle(shape, dtype):
     rng = np.random.default_rng(21)
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out, grad = _forward_backward(FRAME_SHIFT, x, g)
+    out, grad = _forward_backward(temporal_shift, x, g)
     assert out.dtype == dtype and grad.dtype == dtype
     expected = _temporal_loop(x)
     np.testing.assert_array_equal(out, expected)
@@ -258,10 +249,10 @@ def test_shift_adjoint_identity(op):
     rng = np.random.default_rng(22)
     shape = (2, 11, 6, 4)
     x, y = rng.normal(size=shape), rng.normal(size=shape)
-    pair = {"spatial": _spatial_pair(False),
-            "spatial_inverse": _spatial_pair(True),
-            "temporal": FRAME_SHIFT}[op]
-    out, back = _forward_backward(pair, x, y)
+    shift, inverse = {"spatial": (spatial_shift, False),
+                      "spatial_inverse": (spatial_shift, True),
+                      "temporal": (temporal_shift, False)}[op]
+    out, back = _forward_backward(shift, x, y, inverse)
     assert abs(np.vdot(out, y) - np.vdot(x, back)) <= 1e-12 * np.sum(np.abs(x * back))
 
 
@@ -271,10 +262,10 @@ def test_shifts_equal_the_gather_at_ntu60_shape():
     x = rng.normal(size=shape).astype(np.float32)
     g = rng.normal(size=shape).astype(np.float32)
     for inverse in (False, True):
-        out, grad = _forward_backward(_spatial_pair(inverse), x, g)
+        out, grad = _forward_backward(spatial_shift, x, g, inverse)
         assert np.array_equal(out, _gather_spatial(x, inverse))
         assert np.array_equal(grad, _gather_spatial(g, not inverse))
-    out, grad = _forward_backward(FRAME_SHIFT, x, g)
+    out, grad = _forward_backward(temporal_shift, x, g)
     assert np.array_equal(out, _gather_temporal(x, negate=False))
     assert np.array_equal(grad, _gather_temporal(g, negate=True))
 
@@ -284,8 +275,8 @@ def _op_nodes(out):
 
 
 @pytest.mark.parametrize("make,expected", [
-    (lambda rng: ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True), 1),  # shift, conv, bn, relu fused
-    (lambda rng: ShiftUnit(4, 4, rng, FRAME_SHIFT, relu=False), 1),  # shift, conv, bn fused
+    (lambda rng: ShiftUnit(4, 6, rng, spatial_shift, relu=True), 1),  # shift, conv, bn, relu fused
+    (lambda rng: ShiftUnit(4, 4, rng, temporal_shift, relu=False), 1),  # shift, conv, bn fused
 ], ids=["sgcn", "tcn"])
 def test_shift_blocks_record_one_node_per_op(make, expected):
     rng = np.random.default_rng(24)
@@ -312,7 +303,7 @@ def test_shift_sgcn_node_keeps_no_shifted_input():
     # the backward re-runs the shift instead of keeping the shifted copy in
     # any layout; Cin != Cout keeps x̂ and the output apart by size
     rng = np.random.default_rng(25)
-    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(4, 6, rng, spatial_shift, relu=True)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     out = block(x)
     assert _op_nodes(out) == 1
@@ -329,7 +320,7 @@ def test_shift_unit_node_keeps_no_float_array_of_the_output_size(training):
     # the output buffer itself (which the returned tensor owns) neither mode
     # holds anything of the output's size
     rng = np.random.default_rng(27)
-    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(4, 6, rng, spatial_shift, relu=True)
     block.running_mean[:] = rng.normal(size=6)
     block.running_var[:] = 0.5 + rng.random(6)
     block.train(training)
@@ -347,7 +338,7 @@ def test_decoder_unit_keeps_only_a_bool_relu_mask(training):
     # the skip added after the ReLU hides the mask in the output, so the node
     # keeps it as a bool array, and no float array of the output's size
     rng = np.random.default_rng(29)
-    block = ShiftUnit(4, 6, rng, SPATIAL_SHIFT, relu=True)
+    block = ShiftUnit(4, 6, rng, spatial_shift, relu=True)
     block.train(training)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
     skip = Tensor(rng.normal(size=(2, 6, 5, 3)), requires_grad=True)
@@ -366,7 +357,7 @@ def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu
     """
     n, ci, t, v = x.shape
     co, count = w.shape[0], n * t * v
-    xs = (x if shift is None else shift[0](x)).reshape(n, ci, t * v)
+    xs = (x if shift is None else shift(x)).reshape(n, ci, t * v)
     xhat = np.matmul(w, xs)
     mean = xhat.mean(axis=(0, 2))
     xhat -= mean[:, None]
@@ -400,18 +391,18 @@ def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu
     gz -= xhat * (sum_gx / count)[:, None]
     gz *= (gamma * inv)[:, None]
     gx = np.matmul(w.T, gz).reshape(x.shape)
-    grads.update(x=gx if shift is None else shift[1](gx), w=T._pointwise_weight_grad(gz, xs),
+    grads.update(x=gx if shift is None else shift(gx, inverse=True), w=T._pointwise_weight_grad(gz, xs),
                  gamma=sum_gx, beta=sum_g)
     return out.reshape(n, co, t, v), grads
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ci,co,shift,relu,skip,post_skip", [
-    (5, 7, SPATIAL_SHIFT, True, False, False),   # encoder unit
-    (7, 5, SPATIAL_SHIFT, True, False, True),    # decoder unit
-    (3, 3, FRAME_SHIFT, False, False, False),    # T-GCN
+    (5, 7, spatial_shift, True, False, False),   # encoder unit
+    (7, 5, spatial_shift, True, False, True),    # decoder unit
+    (3, 3, temporal_shift, False, False, False),    # T-GCN
     (5, 5, None, True, True, False),             # module exit
-    (3, 5, FRAME_SHIFT, False, True, True),      # both skips, no ReLU
+    (3, 5, temporal_shift, False, True, True),      # both skips, no ReLU
     (7, 3, None, True, True, True),
 ], ids=["encoder", "decoder", "tcn", "exit", "skips", "skips_relu"])
 def test_train_unit_equals_a_unit_keeping_xhat(ci, co, shift, relu, skip, post_skip, dtype):
@@ -455,11 +446,11 @@ def test_gradients_handed_on_equal_a_copying_reference(shared, relu, dtype):
     gamma, beta = (1.0 + rng.normal(size=5)).astype(dtype), rng.normal(size=5).astype(dtype)
     roles = {"skip_is_x": (x, None), "post_skip_is_x": (None, x), "skip_is_post_skip": (s, s)}[shared]
     _, ref = _unit_keeping_xhat(x, w, gamma, beta, np.zeros(5, dtype), np.ones(5, dtype),
-                                SPATIAL_SHIFT, relu, *roles, g)
+                                spatial_shift, relu, *roles, g)
     leaves = {"x": Tensor(x, requires_grad=True), "s": Tensor(s, requires_grad=True)}
     skip, post_skip = (None if a is None else leaves["x" if a is x else "s"] for a in roles)
     out = T.shift_conv_bn(leaves["x"], Tensor(w), Tensor(gamma), Tensor(beta), np.zeros(5, dtype),
-                          np.ones(5, dtype), True, SPATIAL_SHIFT, relu, skip, post_skip)
+                          np.ones(5, dtype), True, spatial_shift, relu, skip, post_skip)
     (out * Tensor(g)).sum().backward()
     want = {"x": ref["x"], "s": None}
     if shared == "skip_is_post_skip":
@@ -477,7 +468,11 @@ def test_eval_backward_reruns_the_shift_only_for_a_parameter_gradient():
     # x's gradient needs only Wᵀ·gz; the shift is re-run for dW or dγ alone
     rng = np.random.default_rng(31)
     calls = []
-    shift = (lambda a: calls.append(1) or SPATIAL_SHIFT[0](a), SPATIAL_SHIFT[1])
+
+    def shift(a, *, inverse=False):
+        calls.append(inverse)
+        return spatial_shift(a, inverse=inverse)
+
     block = ShiftUnit(4, 6, rng, shift, relu=True)
     block.eval()
     for frozen, reruns in (((), 1), (("w",), 1), (("gamma",), 1), (("w", "gamma"), 0)):
@@ -486,12 +481,13 @@ def test_eval_backward_reruns_the_shift_only_for_a_parameter_gradient():
         calls.clear()
         x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
         block(x).sum().backward()
-        assert len(calls) == 1 + reruns and x.grad is not None, frozen
+        assert calls.count(False) == 1 + reruns and calls.count(True) == 1, frozen
+        assert x.grad is not None, frozen
 
 
 def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():
     rng = np.random.default_rng(28)
-    block = ShiftUnit(6, 6, rng, FRAME_SHIFT, relu=False)
+    block = ShiftUnit(6, 6, rng, temporal_shift, relu=False)
     block.running_mean[:] = rng.normal(size=6)
     block.running_var[:] = 0.5 + rng.random(6)
     block.eval()

@@ -5,7 +5,7 @@ import pytest
 
 from simba import tensor as T
 from simba.errors import DomainError, GraphConsumedError, ShapeError, ValidationError
-from simba.shift_gcn import FRAME_SHIFT, SPATIAL_SHIFT, ShiftUnit
+from simba.shift_gcn import ShiftUnit, spatial_shift, temporal_shift
 from simba.tensor import Tensor
 from simba.train import softmax
 from composites import (
@@ -145,8 +145,8 @@ def test_batchnorm_fused_matches_composite_float64(training):
 
 
 UNITS = {
-    "spatial_relu": (SPATIAL_SHIFT, True),
-    "temporal_r1": (FRAME_SHIFT, False),
+    "spatial_relu": (spatial_shift, True),
+    "temporal_r1": (temporal_shift, False),
     "no_shift": (None, False),
     "residual_exit": (None, True),  # takes a skip: ReLU(BN(conv(x)) + skip)
 }
@@ -155,7 +155,7 @@ UNITS = {
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("unit", sorted(UNITS))
 def test_shift_conv_bn_matches_composite_float64(unit, training):
-    pair, relu = UNITS[unit]
+    shift, relu = UNITS[unit]
     rng = np.random.default_rng(15)
     n, ci, co, t, v = 2, 7, 5, 6, 4
     x0 = rng.normal(0.3, 1.4, size=(n, ci, t, v))
@@ -173,7 +173,7 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
         unit_fn = T.shift_conv_bn if fused else shift_conv_bn_composite
-        out = unit_fn(*leaves[:4], rm, rv, training, pair, relu, *leaves[4:])
+        out = unit_fn(*leaves[:4], rm, rv, training, shift, relu, *leaves[4:])
         (out * weights).sum().backward()
         results.append((out.data, *(leaf.grad for leaf in leaves), rm, rv))
     names = ("out", "dx", "dw", "dgamma", "dbeta", "dskip")[:len(arrays) + 1]
@@ -185,7 +185,7 @@ def test_shift_conv_bn_matches_composite_float64(unit, training):
 def test_train_mode_batch_norm_cancels_a_conv_bias_float64(unit):
     # why the unit has no conv bias: the batch mean absorbs it, so the
     # composite with a nonzero bias gives the fused op's output and gradients
-    pair, relu = UNITS[unit]
+    shift, relu = UNITS[unit]
     rng = np.random.default_rng(20)
     n, ci, co, t, v = 2, 7, 5, 6, 4
     arrays = [rng.normal(size=s) for s in ((n, ci, t, v), (co, ci), (co,), (co,))]
@@ -196,7 +196,7 @@ def test_train_mode_batch_norm_cancels_a_conv_bias_float64(unit):
     results = []
     for fused in (True, False):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        unit_args = (*leaves[:4], np.zeros(co), np.ones(co), True, pair, relu, *leaves[4:])
+        unit_args = (*leaves[:4], np.zeros(co), np.ones(co), True, shift, relu, *leaves[4:])
         if fused:
             out = T.shift_conv_bn(*unit_args)
         else:
@@ -229,13 +229,13 @@ def test_fanout_into_two_shift_units_matches_composite_float64():
         x = Tensor(x0, requires_grad=True)
         total = 0.0
         for unit, arrays in zip(("spatial_relu", "temporal_r1"), params):
-            pair, relu = UNITS[unit]
+            shift, relu = UNITS[unit]
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             rm, rv = np.zeros(co), np.ones(co)
             if fused:
-                out = T.shift_conv_bn(x, *leaves, rm, rv, True, pair, relu)
+                out = T.shift_conv_bn(x, *leaves, rm, rv, True, shift, relu)
             else:
-                out = shift_conv_bn_composite(x, *leaves, rm, rv, True, pair, relu)
+                out = shift_conv_bn_composite(x, *leaves, rm, rv, True, shift, relu)
             total = total + (out * weights).sum()
         total.backward()
         grads.append(x.grad)
@@ -257,7 +257,7 @@ def test_shift_conv_bn_post_skip_is_the_unit_plus_a_sum_float32(training):
     for fused in (True, False):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         rm, rv = rm0.copy(), rv0.copy()
-        unit = (*leaves[:4], rm, rv, training, SPATIAL_SHIFT, True)
+        unit = (*leaves[:4], rm, rv, training, spatial_shift, True)
         if fused:
             out = T.shift_conv_bn(*unit, post_skip=leaves[4])
         else:
@@ -308,13 +308,13 @@ def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
     # the folded GEMM rounds W·scale once more than conv-then-normalize does;
     # at the ntu60 width and realistic running stats that stays within a few
     # float32 ulps of the output's range
-    pair, relu = UNITS[unit]
+    shift, relu = UNITS[unit]
     rng = np.random.default_rng(16)
     n, ci, co, t, v = 2, 216, 108, 16, 25
     x0 = rng.normal(0.2, 1.0, size=(n, ci, t, v))
     w0 = rng.normal(0.0, np.sqrt(2.0 / ci), size=(co, ci))
     rng.normal(0.0, 0.05, size=co)  # drawn and unused: keeps the seeded arrays below
-    conv = np.matmul(w0, (pair[0](x0) if pair else x0).reshape(n, ci, t * v))
+    conv = np.matmul(w0, (shift(x0) if shift else x0).reshape(n, ci, t * v))
     rm0 = conv.mean(axis=(0, 2)) + rng.normal(0.0, 0.05, size=co)
     rv0 = conv.var(axis=(0, 2)) * rng.uniform(0.8, 1.25, size=co)
     g0, beta0 = rng.normal(1.0, 0.2, size=co), rng.normal(0.0, 0.2, size=co)
@@ -322,7 +322,7 @@ def test_shift_conv_bn_eval_float32_matches_float64_reference(unit):
     ref = (np.maximum(ref, 0.0) if relu else ref).reshape(n, co, t, v)
     leaves = [Tensor(a, dtype=np.float32) for a in (x0, w0, g0, beta0)]
     rm, rv = rm0.astype(np.float32), rv0.astype(np.float32)
-    out = T.shift_conv_bn(*leaves, rm, rv, False, pair, relu).data
+    out = T.shift_conv_bn(*leaves, rm, rv, False, shift, relu).data
     assert out.dtype == np.float32
     assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
 
@@ -430,7 +430,7 @@ def test_forward_determinism_bit_identical():
         x = Tensor(rng.normal(size=(2, 3, 4, 5)))
         w = Tensor(rng.normal(size=(6, 3)))
         gamma, beta = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-        out = T.shift_conv_bn(x, w, gamma, beta, np.zeros(6), np.ones(6), True, SPATIAL_SHIFT)
+        out = T.shift_conv_bn(x, w, gamma, beta, np.zeros(6), np.ones(6), True, spatial_shift)
         return softmax(out.mean(axis=(2, 3)).data)
 
     assert np.array_equal(run(), run())

@@ -207,3 +207,28 @@ def test_every_module_subclass_defines_forward():
     modules = [name for name in classes if name != "Module" and is_module(name)]
     assert len(modules) >= 8, modules
     assert [name for name in modules if not has_forward(name)] == []
+
+
+def test_the_program_reads_no_environment_variable():
+    # each setting has one source: a flag, a config field, or the BLAS
+    # library's own variables, which it reads before numpy loads
+    readers = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "simba").glob("*.py"))
+               for i, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\benviron\b|\bgetenv\b", line)]
+    assert readers == []
+
+
+def test_every_cli_destination_is_read():
+    # a flag whose value nothing reads is a second way to say what the
+    # program takes from elsewhere
+    source = (ROOT / "src" / "simba" / "cli.py").read_text()
+    dests = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            dest = next((k.value.value for k in node.keywords if k.arg == "dest"), None)
+            long = next((f for f in flags if f.startswith("--")), flags[0])
+            dests.append(dest or long.lstrip("-").replace("-", "_"))
+    assert len(dests) > 20 and "modality" in dests
+    read = set(re.findall(r"\bargs\.(\w+)", source))
+    assert [dest for dest in dests if dest not in read] == []

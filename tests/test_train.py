@@ -16,7 +16,7 @@ from simba.config import PRESETS, TrainConfig, preset_toy
 from simba.errors import ConfigError, DomainError, TrainingAbort, ValidationError
 from simba.data import synth_generate
 from simba.nn import Parameter
-from simba.shift_gcn import FRAME_SHIFT
+from simba.shift_gcn import temporal_shift
 from simba.tensor import BN_MOMENTUM, Tensor, cross_entropy_logits
 from simba.train import (LR_DECAY_RATE, MOMENTUM, SGD, WARMUP_EPOCHS, accuracy, build_model,
                          evaluate, fuse_scores, load_scores, lr_at, save_scores, train)
@@ -105,7 +105,7 @@ def test_presets_match_published_tables():
     assert (ntu.base_lr, LR_DECAY_RATE, WARMUP_EPOCHS) == (0.025, 0.1, 5)
     assert (MOMENTUM, BN_MOMENTUM) == (0.9, 0.1)
     x = np.random.default_rng(0).normal(size=(1, 6, 4, 2))
-    shifted = FRAME_SHIFT[0](x)  # radius 1: channel groups read frames t+1, t, t-1
+    shifted = temporal_shift(x)  # radius 1: channel groups read frames t+1, t, t-1
     np.testing.assert_array_equal(shifted[:, 0::3, :-1], x[:, 0::3, 1:])
     np.testing.assert_array_equal(shifted[:, 1::3], x[:, 1::3])
     np.testing.assert_array_equal(shifted[:, 2::3, 1:], x[:, 2::3, :-1])
@@ -292,6 +292,46 @@ def test_training_is_seed_deterministic(tmp_path):
         metrics, _ = train(model, ds, ds, cfg, out_dir=tmp_path / f"r{attempt}", verbose=False)
         runs.append((tmp_path / f"r{attempt}" / "metrics.jsonl").read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_a_failed_log_write_keeps_the_earlier_epochs_lines(tmp_path, monkeypatch):
+    # a write that stops part-way through epoch 2's record, as on a full
+    # disk, leaves the two complete lines before it and no temporary file
+    import builtins
+    cfg, ds, model = _toy_setup(seed=2, epochs=3)
+    train(model, ds, ds, cfg, out_dir=tmp_path / "whole", verbose=False)
+    whole = (tmp_path / "whole" / "metrics.jsonl").read_bytes()
+    real_open, writes = builtins.open, []
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def write(self, data):
+            writes.append(data)
+            if len(writes) == 3:
+                self.f.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    def opener(path, *args, **kwargs):
+        f = real_open(path, *args, **kwargs)
+        return HalfWriter(f) if Path(path).name.startswith("metrics.jsonl") else f
+
+    cfg, ds, model = _toy_setup(seed=2, epochs=3)
+    monkeypatch.setattr(builtins, "open", opener)
+    with pytest.raises(OSError, match="no space left on device"):
+        train(model, ds, ds, cfg, out_dir=tmp_path / "cut", verbose=False)
+    monkeypatch.undo()
+    assert len(writes) == 3
+    assert (tmp_path / "cut" / "metrics.jsonl").read_bytes() == b"".join(whole.splitlines(True)[:2])
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == ["checkpoint.bin", "metrics.jsonl"]
 
 
 def test_training_aborts_on_nan_loss_with_location():
