@@ -9,7 +9,7 @@ import os
 from simba.bench import bench_scan, rows_to_csv
 
 print(f"hardware threads: {os.cpu_count()}")
-rows = bench_scan(4096, 64, 16, chunks=[32, 64, 128], repeats=5)
+rows = bench_scan(4096, 64, 16, chunks=[32, 64, 128])
 print(rows_to_csv(rows), end="")
 seq = rows[0][5]
 print()

@@ -8,13 +8,14 @@ import numpy as np
 
 from .ssm import _scan_states_chunked, _scan_states_sequential
 
+REPEATS = 3
 
-def bench_scan(t: int, dp: int, w: int, chunks, seed: int = 0, repeats: int = 3):
+
+def bench_scan(t: int, dp: int, w: int, chunks, seed: int = 0):
     """Time both strategies on one seeded problem; returns CSV-ready rows.
 
-    Each row is (strategy, T, Dp, W, chunk, wall_ms); sequential rows use
-    chunk 0.  The reported time is the best of ``repeats`` runs after one
-    warmup.
+    Each row is (strategy, T, Dp, W, chunk, wall_ms): sequential rows use
+    chunk 0, and wall_ms is the best of ``REPEATS`` runs after one warmup.
     """
     rng = np.random.default_rng(seed)
     a = 0.1 + 0.85 * rng.random((1, t, dp, w))
@@ -23,7 +24,7 @@ def bench_scan(t: int, dp: int, w: int, chunks, seed: int = 0, repeats: int = 3)
     def clock(fn):
         fn()  # warmup
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             tic = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - tic)

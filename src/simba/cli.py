@@ -159,9 +159,10 @@ def _cmd_bench(args) -> int:
         raise ValidationError(f"--chunks must be comma-separated ints, got {args.chunks!r}")
     if any(c < 1 for c in chunks) or not chunks:
         raise ValidationError(f"chunk sizes must be >= 1, got {chunks}")
-    for flag, value in (("--len", args.length), ("--dim", args.dim), ("--state", args.state)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be >= 1, got {value}")
+    for flag, value, least in (("--len", args.length, 1), ("--dim", args.dim, 1),
+                               ("--state", args.state, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValidationError(f"{flag} must be >= {least}, got {value}")
     rows = bench_scan(args.length, args.dim, args.state, chunks, seed=args.seed)
     csv = rows_to_csv(rows)
     print(csv, end="")

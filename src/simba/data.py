@@ -120,14 +120,11 @@ def validate_topology(parents: np.ndarray) -> None:
     roots = np.nonzero(parents == np.arange(v))[0]
     if len(roots) != 1:
         raise ValidationError(f"skeleton must have exactly one root, found {len(roots)}")
-    root = int(roots[0])
-    for start in range(v):
-        node, hops = start, 0
-        while node != root:
-            node = int(parents[node])
-            hops += 1
-            if hops > v:
-                raise ValidationError(f"cycle in skeleton topology at joint {start}")
+    ancestor = parents
+    for _ in range(v.bit_length()):  # pointer doubling: round k leaves each joint's 2**k-th ancestor
+        ancestor = ancestor[ancestor]
+    if np.any(lost := ancestor != roots[0]):  # a joint on or below a cycle never reaches the root
+        raise ValidationError(f"cycle in skeleton topology at joint {int(np.argmax(lost))}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +132,14 @@ def validate_topology(parents: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def save_dataset(path, dataset: SkeletonDataset) -> None:
+    """Write an SKL1 container; a count its u16 header cannot hold raises before the file opens."""
+    for field in ("joints", "classes", "partitions"):
+        if (count := getattr(dataset, f"num_{field}")) > 0xFFFF:
+            raise ValidationError(f"an SKL1 header holds at most 65535 {field}, got {count}")
+    header = MAGIC + struct.pack("<HIHHHH", VERSION, len(dataset.samples), dataset.num_joints,
+                                 COORD_DIMS, dataset.num_classes, dataset.num_partitions)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HIHHHH", VERSION, len(dataset.samples),
-                            dataset.num_joints, COORD_DIMS,
-                            dataset.num_classes, dataset.num_partitions))
+        f.write(header)
         f.write(dataset.parents.astype("<u2").tobytes())
         f.write(dataset.partitions.astype("<u2").tobytes())
         for label, frames in dataset.samples:
@@ -290,6 +290,8 @@ def synth_generate(classes: int, samples_per_class: int, v: int = 20,
         raise ValidationError(f"need at least 1 sample per class, got {samples_per_class}")
     if t_raw < 1:
         raise ValidationError(f"need at least 1 frame, got {t_raw}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 <= noise < np.inf:  # NaN fails the comparison
         raise ValidationError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)

@@ -71,8 +71,7 @@ class ShiftUnit(Module):
     its encoder skip as ``post_skip``; the T-GCN takes ``temporal_shift`` and
     no ReLU; the module exit takes no shift and adds its ``skip`` before the
     ReLU.  The unit owns batch-norm's ``gamma``, ``beta`` and running
-    statistics, which the node updates at ``tensor.BN_MOMENTUM`` in train
-    mode.  ``eps`` is the op's default; a test may set it to 0.
+    statistics, which train mode updates at ``tensor.BN_MOMENTUM``.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, shift, relu: bool):
@@ -84,10 +83,8 @@ class ShiftUnit(Module):
         self.beta = Parameter(np.zeros(c_out))
         self.running_mean = np.zeros(c_out)
         self.running_var = np.ones(c_out)
-        self.eps = 1e-5
 
     def forward(self, x: Tensor, skip: Tensor | None = None,
                 post_skip: Tensor | None = None) -> Tensor:
         return T.shift_conv_bn(x, self.w, self.gamma, self.beta, self.running_mean,
-                               self.running_var, self.training, self.shift, self.relu,
-                               skip, post_skip, self.eps)
+                               self.running_var, self.training, self.shift, self.relu, skip, post_skip)

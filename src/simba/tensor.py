@@ -510,13 +510,14 @@ def causal_conv1d_depthwise(x, w, b) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-# the update rate of batch-norm's running statistics, fixed by the Shift-GCN recipe
+# batch-norm's running-statistics rate and ε (the Shift-GCN recipe's), and RMS-norm's ε
 BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+RMS_EPS = 1e-5
 
 
 def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
-                  shift=None, relu: bool = False, skip=None, post_skip=None,
-                  eps: float = 1e-5) -> Tensor:
+                  shift=None, relu: bool = False, skip=None, post_skip=None) -> Tensor:
     """shift -> 1x1 conv -> batch-norm [+ skip] [-> ReLU] [+ post_skip] on x[N, Cin, T, V], one graph node.
 
     ``shift`` is None or a numpy map applied to the input before the conv,
@@ -526,19 +527,18 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
     Batch-norm normalizes each output channel over the (N, T, V) axes: train
     mode uses the batch statistics and updates the running arrays in place
     (exponential moving average at rate ``BN_MOMENTUM``, unbiased variance);
-    eval mode uses the running statistics.  ``skip`` and ``post_skip``, each
-    None or a tensor of the output's shape, are added before and after the
-    ReLU, so a residual unit's ReLU(BN(conv(x)) + skip) and a decoder unit's
-    ReLU(BN(conv(x))) + post_skip are one node each.
+    eval mode uses the running statistics; ε is ``BN_EPS``.  ``skip`` and
+    ``post_skip``, each None or a tensor of the output's shape, are added
+    before and after the ReLU, so a residual unit's ReLU(BN(conv(x)) + skip)
+    and a decoder unit's ReLU(BN(conv(x))) + post_skip are one node each.
 
     Train mode writes x̂ over the conv output and the output over x̂, so the
-    node keeps only the output and the per-channel mean and
-    1/sqrt(var + eps).  Eval mode is an affine map, so it folds batch-norm
-    into the conv (Jacob et al. 2018, §3.2): with scale = γ/sqrt(var + eps)
-    it runs one GEMM with W·scale, then the bias β - mean·scale, the skip
-    and the ReLU in place.  Neither mode keeps x̂ or the shifted input.  The
-    backward re-runs the shift once when W or γ needs a gradient (train mode
-    always needs x̂) and rebuilds x̂ = (W·shift(x) - mean)/sqrt(var + eps)
+    node keeps only the output and the per-channel mean and 1/sqrt(var + ε).
+    Eval mode is an affine map, so it folds batch-norm into the conv (Jacob
+    et al. 2018, §3.2): with scale = γ/sqrt(var + ε) it runs one GEMM with
+    W·scale, then the bias β - mean·scale, the skip and the ReLU in place.
+    Neither mode keeps x̂ or the shifted input.  In both modes the backward
+    re-runs the shift once and rebuilds x̂ = (W·shift(x) - mean)/sqrt(var + ε)
     with the forward's own operations in its order, so it is bit-identical
     and nothing divides by γ; the same shifted input serves the weight
     gradient (Chen et al. 2016, arXiv:1604.06174, trade memory for one GEMM).
@@ -568,7 +568,7 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         mean = xhat.mean(axis=(0, 2))
         xhat -= mean[:, None]
         var = (xhat * xhat).mean(axis=(0, 2))
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
@@ -579,7 +579,7 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         out += beta.data[:, None]
     else:
         mean = running_mean.astype(x.dtype, copy=False)
-        inv = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + eps)
+        inv = 1.0 / np.sqrt(running_var.astype(x.dtype, copy=False) + BN_EPS)
         scale = gamma.data * inv
         out = np.matmul(w.data * scale[:, None], conv_input())
         out += (beta.data - mean * scale)[:, None]
@@ -613,14 +613,13 @@ def shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training: bool,
         sum_g = g.sum(axis=(0, 2))
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        xs = conv_input() if training or gamma.requires_grad or w.requires_grad else None
-        if training or gamma.requires_grad:  # x̂ by the forward's own operations, in its order
-            xhat = np.matmul(w.data, xs)
-            xhat -= mean[:, None]
-            xhat *= inv[:, None]
-            sum_gx = np.einsum("nck,nck->c", g, xhat)
-            if gamma.requires_grad:
-                gamma._accumulate(sum_gx)
+        xs = conv_input()
+        xhat = np.matmul(w.data, xs)  # x̂ by the forward's own operations, in its order
+        xhat -= mean[:, None]
+        xhat *= inv[:, None]
+        sum_gx = np.einsum("nck,nck->c", g, xhat)
+        if gamma.requires_grad:
+            gamma._accumulate(sum_gx)
         # gz is laid out channel-major, so the weight gradient's tensordot reads
         # it without a transposing copy; every value and GEMM result is unchanged
         gz = np.empty((co, n, t * v), g.dtype).transpose(1, 0, 2)
@@ -691,13 +690,13 @@ def partition_gate(x, w, b, gate, pool: np.ndarray, scatter: np.ndarray) -> Tens
     return _make(e, (x, w, b, gate), backward)
 
 
-def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps) * gain."""
+def rms_norm(x, gain) -> Tensor:
+    """x / sqrt(mean(x^2, last axis) + RMS_EPS) * gain."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     if x.shape[-1] != gain.shape[0]:
         raise ShapeError(f"rms_norm gain {gain.shape} does not match last dim of {x.shape}")
     ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / sqrt(ms + eps) * gain
+    return x / sqrt(ms + RMS_EPS) * gain
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:

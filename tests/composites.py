@@ -8,10 +8,9 @@ from simba import tensor as T
 from simba.tensor import Tensor
 
 
-def batch_norm2d_composite(x, gamma, beta, running_mean, running_var, training,
-                           momentum=0.1, eps=1e-5):
+def batch_norm2d_composite(x, gamma, beta, running_mean, running_var, training):
     """The batch-norm built from tensor primitives that the fused op replaced."""
-    c = x.shape[1]
+    c, momentum, eps = x.shape[1], T.BN_MOMENTUM, T.BN_EPS
     if training:
         count = x.shape[0] * x.shape[2] * x.shape[3]
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
@@ -67,7 +66,7 @@ def _conv_node(x, w, b):
 
 
 def shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, training,
-                            shift, relu, skip=None, post_skip=None, eps=1e-5, conv_bias=None):
+                            shift, relu, skip=None, post_skip=None, conv_bias=None):
     """The unit as the blocks built it before fusion: one node per step.
 
     Takes ``tensor.shift_conv_bn``'s arguments in its order, so it can stand
@@ -77,7 +76,7 @@ def shift_conv_bn_composite(x, w, gamma, beta, running_mean, running_var, traini
     if conv_bias is None:
         conv_bias = Tensor(np.zeros(w.shape[0]), dtype=x.dtype)
     out = _conv_node(_shift_node(shift, x) if shift else x, w, conv_bias)
-    out = batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training, eps=eps)
+    out = batch_norm2d_composite(out, gamma, beta, running_mean, running_var, training)
     out = out if skip is None else out + skip
     out = _relu_node(out) if relu else out
     return out if post_skip is None else out + post_skip

@@ -247,7 +247,7 @@ def test_criterion_8_training_determinism(tmp_path):
 
 def test_criterion_9_scan_benchmark_informational(tmp_path):
     import os
-    rows = bench_scan(4096, 64, 16, chunks=[64], repeats=3)
+    rows = bench_scan(4096, 64, 16, chunks=[64])
     csv = rows_to_csv(rows)
     path = tmp_path / "bench.csv"
     path.write_text(csv)

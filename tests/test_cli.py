@@ -307,13 +307,25 @@ def test_config_naming_a_recipe_constant_exits_one(tmp_path, toy_config, toy_dat
     (("bench-scan", "--dim", "0"), "--dim must be >= 1, got 0"),
     (("bench-scan", "--state", "-2"), "--state must be >= 1, got -2"),
     (("synth", "--frames", "-1"), "need at least 1 frame, got -1"),
-], ids=["len", "dim", "state", "frames"])
+    # a seed's floor is 0; numpy's own ValueError for -1 exited 2, as a runtime failure
+    (("bench-scan", "--len", "16", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("synth", "--seed", "-1"), "seed must be >= 0, got -1"),
+], ids=["len", "dim", "state", "frames", "bench_seed", "synth_seed"])
 def test_size_flags_below_one_exit_one(tmp_path, capsys, argv, message):
     out = tmp_path / "x.skl"
     if argv[0] == "synth":
         argv += ("--out", str(out))
     assert run(*argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_with_more_classes_than_the_container_holds_exits_one_and_writes_nothing(tmp_path, capsys):
+    # struct's own error for the u16 field exited 2 and left the magic in the file
+    out = tmp_path / "x.skl"
+    assert run("synth", "--out", str(out), "--classes", "70000", "--samples", "1",
+               "--joints", "2", "--frames", "2") == 1
+    assert "error: an SKL1 header holds at most 65535 classes, got 70000" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -353,8 +365,9 @@ def test_training_abort_is_runtime_failure(tmp_path, toy_data, capsys):
     cfg.base_lr = 1e6  # the first step wrecks the parameters
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
-    assert run("train", "--config", str(path), "--data", str(toy_data),
-               "--out", str(tmp_path / "run"), "--quiet") == 2
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert run("train", "--config", str(path), "--data", str(toy_data),
+                   "--out", str(tmp_path / "run"), "--quiet") == 2
     assert "epoch 0" in capsys.readouterr().err
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,56 @@ def test_topology_must_be_a_tree():
     frames = np.zeros((2, 3, 3), dtype=np.float32)
     with pytest.raises(ValidationError):  # two roots
         SkeletonDataset([(0, frames)], np.array([0, 1, 1]), np.zeros(3, int), 1, 1)
-    with pytest.raises(ValidationError):  # 1 <-> 2 cycle, no path to root
+    with pytest.raises(ValidationError, match="cycle in skeleton topology at joint 1$"):  # 1 <-> 2
         SkeletonDataset([(0, frames)], np.array([0, 2, 1]), np.zeros(3, int), 1, 1)
+
+
+def _cycle_joint_by_walking(parents):
+    """The loop pointer doubling replaced: the first joint whose walk outlasts V hops, or None."""
+    root = int(np.nonzero(parents == np.arange(len(parents)))[0][0])
+    for start in range(len(parents)):
+        node, hops = start, 0
+        while node != root:
+            node, hops = int(parents[node]), hops + 1
+            if hops > len(parents):
+                return start
+    return None
+
+
+def test_cycle_check_names_the_joint_the_walk_names():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        v = int(rng.integers(1, 40))
+        parents = rng.integers(0, v, v)
+        root = int(rng.integers(v))
+        parents[parents == np.arange(v)] = root  # one root: every other self-loop points at it
+        parents[root] = root
+        joint = _cycle_joint_by_walking(parents)
+        if joint is None:
+            SkeletonDataset([], parents, np.zeros(v, int), 1, 1)
+        else:
+            with pytest.raises(ValidationError, match=f"at joint {joint}$"):
+                SkeletonDataset([], parents, np.zeros(v, int), 1, 1)
+
+
+def test_a_long_chain_validates_in_under_a_second():
+    # each joint walking to the root took time quadratic in the chain's length
+    v = 20000
+    tic = time.perf_counter()
+    ds = SkeletonDataset([], np.maximum(np.arange(v) - 1, 0), np.zeros(v, int), 1, 1)
+    assert time.perf_counter() - tic < 1.0 and ds.root == 0
+
+
+@pytest.mark.parametrize("field", ["joints", "classes", "partitions"])
+def test_save_rejects_a_count_the_header_cannot_hold_and_writes_nothing(tmp_path, field):
+    # SKL1 stores each of these counts as a u16
+    counts = {"joints": 2, "classes": 1, "partitions": 1, field: 65536}
+    v = counts["joints"]
+    ds = SkeletonDataset([], np.zeros(v, int), np.zeros(v, int), counts["classes"], counts["partitions"])
+    path = tmp_path / "x.skl"
+    with pytest.raises(ValidationError, match=f"at most 65535 {field}, got 65536"):
+        save_dataset(path, ds)
+    assert not path.exists()
 
 
 def test_synthetic_file_loads_with_expected_header(tmp_path):

@@ -101,12 +101,12 @@ def test_temporal_shift_boundary_mass_accounting():
     assert abs(out.sum() - (x.sum() - lost)) < 1e-10
 
 
-def test_shift_sgcn_identity_conv_passthrough():
+def test_shift_sgcn_identity_conv_passthrough(monkeypatch):
+    monkeypatch.setattr(T, "BN_EPS", 0.0)
     rng = np.random.default_rng(6)
     block = ShiftUnit(3, 3, rng, spatial_shift, relu=True)
     block.w.data[:] = np.eye(3)
     block.eval()  # running stats are mean 0 / var 1 -> BN ~ identity at eps=0
-    block.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
     expected = np.maximum(spatial_shift(x), 0.0)
     np.testing.assert_allclose(block(Tensor(x)).data, expected, atol=1e-12)
@@ -140,12 +140,12 @@ def test_shift_tcn_shape_preserving():
     assert block(x).shape == (2, 216, 64, 25)
 
 
-def test_shift_tcn_identity_configuration():
+def test_shift_tcn_identity_configuration(monkeypatch):
+    monkeypatch.setattr(T, "BN_EPS", 0.0)
     rng = np.random.default_rng(11)
     block = ShiftUnit(3, 3, rng, None, relu=False)
     block.w.data[:] = np.eye(3)
     block.eval()
-    block.eps = 0.0
     x = rng.normal(size=(2, 3, 4, 5))
     np.testing.assert_allclose(block(Tensor(x)).data, x, atol=1e-12)
 
@@ -348,8 +348,7 @@ def test_decoder_unit_keeps_only_a_bool_relu_mask(training):
     assert list(map(str, extra)) == ["bool"], extra
 
 
-def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu, skip, post_skip, g,
-                       eps=1e-5):
+def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu, skip, post_skip, g):
     """A train-mode unit that keeps x̂ beside its output: (output, {name: gradient}).
 
     The arithmetic of ``tensor.shift_conv_bn`` before its backward rebuilt
@@ -362,7 +361,7 @@ def _unit_keeping_xhat(x, w, gamma, beta, running_mean, running_var, shift, relu
     mean = xhat.mean(axis=(0, 2))
     xhat -= mean[:, None]
     var = (xhat * xhat).mean(axis=(0, 2))
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + T.BN_EPS)
     running_mean *= 1.0 - T.BN_MOMENTUM
     running_mean += T.BN_MOMENTUM * mean
     running_var *= 1.0 - T.BN_MOMENTUM
@@ -462,27 +461,6 @@ def test_gradients_handed_on_equal_a_copying_reference(shared, relu, dtype):
             assert leaf.grad is None, name
         else:
             assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, want[name]), name
-
-
-def test_eval_backward_reruns_the_shift_only_for_a_parameter_gradient():
-    # x's gradient needs only Wᵀ·gz; the shift is re-run for dW or dγ alone
-    rng = np.random.default_rng(31)
-    calls = []
-
-    def shift(a, *, inverse=False):
-        calls.append(inverse)
-        return spatial_shift(a, inverse=inverse)
-
-    block = ShiftUnit(4, 6, rng, shift, relu=True)
-    block.eval()
-    for frozen, reruns in (((), 1), (("w",), 1), (("gamma",), 1), (("w", "gamma"), 0)):
-        for name in ("w", "gamma"):
-            getattr(block, name).requires_grad = name not in frozen
-        calls.clear()
-        x = Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True)
-        block(x).sum().backward()
-        assert calls.count(False) == 1 + reruns and calls.count(True) == 1, frozen
-        assert x.grad is not None, frozen
 
 
 def test_eval_unit_under_no_grad_records_nothing_and_keeps_running_stats():

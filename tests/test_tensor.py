@@ -69,26 +69,28 @@ def test_pointwise_conv2d_shape_error_names_both_shapes():
         T.shift_conv_bn(x, w, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), True)
 
 
-def _bn(x, gamma, beta, running_mean, running_var, training, **kw):
+def _bn(x, gamma, beta, running_mean, running_var, training):
     """Batch-norm alone: the fused op with an identity conv, no shift and no ReLU."""
     c = x.shape[1]
     w = Tensor(np.eye(c), requires_grad=True, dtype=x.dtype)
-    return T.shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training, **kw)
+    return T.shift_conv_bn(x, w, gamma, beta, running_mean, running_var, training)
 
 
-def test_batchnorm_eval_constant_input_is_zeroed():
+def test_batchnorm_eval_constant_input_is_zeroed(monkeypatch):
+    monkeypatch.setattr(T, "BN_EPS", 0.0)
     const = np.array([2.0, -1.0, 0.5])
     x = Tensor(np.broadcast_to(const[None, :, None, None], (2, 3, 4, 5)).copy())
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-    out = _bn(x, gamma, beta, const.copy(), np.ones(3), training=False, eps=0.0)
+    out = _bn(x, gamma, beta, const.copy(), np.ones(3), training=False)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
-def test_batchnorm_train_normalizes_per_channel():
+def test_batchnorm_train_normalizes_per_channel(monkeypatch):
+    monkeypatch.setattr(T, "BN_EPS", 0.0)
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(2.0, 3.0, size=(4, 3, 5, 6)))
     out = _bn(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
-              np.zeros(3), np.ones(3), training=True, eps=0.0)
+              np.zeros(3), np.ones(3), training=True)
     mean = out.data.mean(axis=(0, 2, 3))
     var = out.data.var(axis=(0, 2, 3))
     np.testing.assert_allclose(mean, 0.0, atol=1e-6)
@@ -357,8 +359,9 @@ def test_full_reduction_data_is_a_0d_array():
     assert isinstance(Tensor(np.ones(3)).sum().data, np.ndarray)
 
 
-def test_rmsnorm_hand_values():
-    out = T.rms_norm(Tensor([3.0, 4.0]), Tensor([1.0, 1.0]), eps=0.0)
+def test_rmsnorm_hand_values(monkeypatch):
+    monkeypatch.setattr(T, "RMS_EPS", 0.0)
+    out = T.rms_norm(Tensor([3.0, 4.0]), Tensor([1.0, 1.0]))
     np.testing.assert_allclose(out.data, np.array([3.0, 4.0]) / np.sqrt(12.5), atol=1e-12)
     assert abs(out.data[0] - 0.8485281374238570) < 1e-12
     assert abs(out.data[1] - 1.1313708498984762) < 1e-12
@@ -369,13 +372,14 @@ def test_rmsnorm_zero_input():
     np.testing.assert_array_equal(out.data, 0.0)
 
 
-def test_rmsnorm_scale_invariance():
+def test_rmsnorm_scale_invariance(monkeypatch):
+    monkeypatch.setattr(T, "RMS_EPS", 0.0)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 5))
     g = Tensor(rng.normal(size=5))
-    base = T.rms_norm(Tensor(x), g, eps=0.0).data
+    base = T.rms_norm(Tensor(x), g).data
     for alpha in (0.25, 3.0, 117.0):
-        scaled = T.rms_norm(Tensor(alpha * x), g, eps=0.0).data
+        scaled = T.rms_norm(Tensor(alpha * x), g).data
         assert np.max(np.abs(scaled - base)) <= 1e-12
 
 
